@@ -279,16 +279,14 @@ def cmd_bellow(args):
 
 
 def cmd_run(args):
-    cfg = validate_config(args.config)
-    for key in ("seed", "horizon", "paths"):
+    overrides = {}
+    for key in ("seed", "horizon", "paths", "format"):
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
+            overrides[key] = value
     if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    manifest = run_experiment(cfg)
+        overrides["output_dir"] = args.out
+    manifest = run_experiment(validate_config(args.config, overrides))
     print(f"experiment: {manifest.experiment}")
     print(f"config_hash: {manifest.config_hash}")
     print(f"artifact_version: {manifest.artifact_version}")

@@ -1,15 +1,25 @@
 """Induced output measures, block entropies, sample-entropy traces, AEP runs.
 
 The induced measure of a word-valued source assigns q(b^n), the total source
-probability of all n-tuples whose concatenated codewords start with b^n. It
-is evaluated by a forward dynamic program over boundary states: alpha(j, s)
-is the probability that some codeword sequence exactly covers the first j
-output symbols and leaves the source in memory state s. Extending by one
-codeword either lands on a later boundary or overshoots the target length,
-in which case the trailing source symbols marginalise away and the mass goes
-straight to the answer. The DP carries natural logs, combines branches with
-max-shifted summation, and fixes the accumulation order (older boundaries
-first, then input symbol, then source state) so repeated runs are bit
+probability of all n-tuples whose concatenated codewords start with b^n. A
+word-valued source over an IID or Markov source is a function of a finite
+Markov chain (Blackwell 1957). Its states are pairs (a, k): input symbol a,
+offset k inside the codeword c_a. Inside a codeword the chain moves from
+(a, k) to (a, k+1) with probability 1; at a codeword's end it moves to
+(a', 0) with the source's transition row (the marginal for IID sources), and
+a fresh start enters (a', 0) with the initial law. State (a, k) emits
+c_a[k], so q(b^n) is the chain's forward probability of emitting b^n; a last
+codeword that overshoots b^n simply leaves the chain inside it.
+
+The scanner runs the scaled forward algorithm (Rabiner 1989). Each ergodic
+component keeps its own forward vector, normalised to sum 1 and held only
+over the states that emit the last symbol, and its own log scale: a scale
+shared across a block-diagonal mixture loses the components' relative
+weight. Each step adds log1p(-leak) to the scale, where leak is the mass
+that moved to states emitting another symbol, or log(kept) once leak reaches
+1/2. A step that leaks nothing adds exactly 0.0. A mixture is data: one
+(log weight, chain) pair per component, combined by a max-shifted log-sum in
+component order. Every sum runs in a fixed order, so repeated runs are bit
 identical.
 
 Block distributions, joint entropies H_n, per-sequence sample-entropy traces
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +45,6 @@ from .sources import (
     PathSample,
     _clamp_log_prob,
     _logsumexp,
-    _MixtureScanner,
     as_symbols,
     seed_sequence,
 )
@@ -44,118 +54,100 @@ from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_
 DEFAULT_ENUMERATION_CELLS = 2**20
 
 
-def _np_logsumexp(arr):
-    arr = np.asarray(arr, dtype=float)
-    finite = arr[arr > NEG_INF]
-    if finite.size == 0:
-        return NEG_INF
-    m = finite.max()
-    return float(m + np.log(np.exp(finite - m).sum()))
+def _chain_steps(model, word_function):
+    """Forward-step tables of one IID or Markov component's chain.
 
-
-class _SourceKernel:
-    """Transition view of an IID or Markov source for the boundary DP.
-
-    States are 0..k-1 for Markov memory plus a fresh state k that uses the
-    initial distribution; IID collapses to the single state 0.
+    ``steps[p][b]`` maps a forward vector over the states emitting p (for
+    p = B, the single fresh-start state) to one over the states emitting b,
+    as (width, targets, leaks): new[i] is the sum of v[j] * w over (j, w) in
+    the target entry (i, terms), and a leak entry (j, w) is the mass state j
+    sends to states that emit another symbol.
     """
+    codewords = word_function.codewords
+    if isinstance(model, MarkovSource):
+        rows, first = model.matrix.tolist(), model.initial.tolist()
+    else:
+        first = model.distribution.tolist()
+        rows = [first] * len(codewords)
+    emitting = [[(a, k) for a, cw in enumerate(codewords) for k, s in enumerate(cw) if s == b]
+                for b in range(word_function.output_alphabet_size)]
+    position = [{state: i for i, state in enumerate(states)} for states in emitting]
 
-    __slots__ = ("trans", "fresh_state", "collapse")
+    def moves(a, k):
+        if a >= 0 and k + 1 < len(codewords[a]):
+            return [((a, k + 1), 1.0)]
+        return [((t, 0), p) for t, p in enumerate(first if a < 0 else rows[a]) if p > 0.0]
 
-    def __init__(self, model):
-        if isinstance(model, MixtureSource):
-            raise DomainError("mixture sources are handled per component")
-        if isinstance(model, MarkovSource):
-            k = model.alphabet_size
-            self.trans = [list(map(float, row)) for row in model._log_matrix] + [
-                [float(v) for v in model._log_init]
-            ]
-            self.fresh_state = k
-            self.collapse = False
-        else:
-            self.trans = [[float(v) for v in model._log_dist]]
-            self.fresh_state = 0
-            self.collapse = True
+    steps = []
+    for sources in emitting + [[(-1, 0)]]:
+        row = []
+        for states, where in zip(emitting, position):
+            targets = [[] for _ in states]
+            leaks = []
+            for j, (a, k) in enumerate(sources):
+                lost = []
+                for state, p in moves(a, k):
+                    if state in where:
+                        targets[where[state]].append((j, p))
+                    else:
+                        lost.append(p)
+                if lost:
+                    leaks.append((j, math.fsum(lost)))
+            row.append((len(states), tuple((i, tuple(t)) for i, t in enumerate(targets) if t),
+                        tuple(leaks)))
+        steps.append(tuple(row))
+    return tuple(steps)
 
-    def state_of(self, symbol):
-        return 0 if self.collapse else symbol
 
+class _ChainScanner:
+    """Scaled forward algorithm along a fixed output prefix, per component."""
 
-class _InducedScanner:
-    """Rolling-window boundary DP along a fixed output prefix."""
+    __slots__ = ("chains", "prev", "vectors", "scales")
 
-    __slots__ = ("kernel", "codewords", "max_len", "rows", "buf", "log_prob", "dead")
-
-    def __init__(self, kernel, codewords, max_len, rows=None, buf=None,
-                 log_prob=NEG_INF, dead=False):
-        self.kernel = kernel
-        self.codewords = codewords
-        self.max_len = max_len
-        if rows is None:
-            start = [NEG_INF] * (kernel.fresh_state + 1)
-            start[kernel.fresh_state] = 0.0
-            rows = [start]
-        self.rows = rows
-        self.buf = [] if buf is None else buf
-        self.log_prob = log_prob
-        self.dead = dead
+    def __init__(self, chains, prev, vectors, scales):
+        self.chains = chains
+        self.prev = prev
+        self.vectors = vectors  # None once a component has lost all mass
+        self.scales = scales
 
     def clone(self):
-        return _InducedScanner(
-            self.kernel, self.codewords, self.max_len,
-            rows=[row[:] for row in self.rows], buf=self.buf[:],
-            log_prob=self.log_prob, dead=self.dead,
+        return _ChainScanner(
+            self.chains, self.prev,
+            [None if v is None else v[:] for v in self.vectors], self.scales[:],
         )
 
     def advance(self, symbol):
-        if self.dead:
-            return NEG_INF
-        buf = self.buf
-        buf.append(symbol)
-        if len(buf) > self.max_len:
-            del buf[0]
-        rows = self.rows
-        trans = self.kernel.trans
-        n_rows = len(rows)
-        new_terms = [[] for _ in trans]
-        answer_terms = []
-        # rows[d] holds alpha at boundary j = m - (n_rows - 1 - d); after the
-        # append the new target is m + 1, so row d must match the last
-        # (n_rows - d) buffered symbols.
-        for d in range(n_rows):
-            row = rows[d]
-            need = n_rows - d
-            seg_start = len(buf) - need
-            for a, cw in enumerate(self.codewords):
-                if len(cw) < need:
-                    continue
-                match = True
-                for t in range(need):
-                    if cw[t] != buf[seg_start + t]:
-                        match = False
-                        break
-                if not match:
-                    continue
-                exact = len(cw) == need
-                tgt = self.kernel.state_of(a)
-                for s, lp in enumerate(row):
-                    if lp == NEG_INF:
-                        continue
-                    tr = trans[s][a]
-                    if tr == NEG_INF:
-                        continue
-                    term = lp + tr
-                    answer_terms.append(term)
-                    if exact:
-                        new_terms[tgt].append(term)
-        new_row = [(_logsumexp(ts) if ts else NEG_INF) for ts in new_terms]
-        rows.append(new_row)
-        if len(rows) > self.max_len:
-            del rows[0]
-        self.log_prob = _clamp_log_prob(_logsumexp(answer_terms))
-        if self.log_prob == NEG_INF:
-            self.dead = True
-        return self.log_prob
+        prev = self.prev
+        self.prev = symbol
+        vectors = self.vectors
+        scales = self.scales
+        terms = []
+        for c, (log_weight, steps) in enumerate(self.chains):
+            v = vectors[c]
+            if v is None:
+                continue
+            width, targets, leaks = steps[prev][symbol]
+            new = [0.0] * width
+            kept = 0.0
+            for i, sources in targets:
+                x = 0.0
+                for j, w in sources:
+                    x += v[j] * w
+                new[i] = x
+                kept += x
+            if kept == 0.0:
+                vectors[c] = None
+                continue
+            leak = 0.0
+            for j, w in leaks:
+                leak += v[j] * w
+            scale = scales[c] + (math.log1p(-leak) if leak < 0.5 else math.log(kept))
+            scales[c] = scale
+            for i in range(width):
+                new[i] /= kept
+            vectors[c] = new
+            terms.append(log_weight + scale)
+        return _clamp_log_prob(terms[0] if len(terms) == 1 else _logsumexp(terms))
 
 
 class InducedMeasure:
@@ -177,15 +169,21 @@ class InducedMeasure:
     def model_id(self):
         return f"{self.model.model_id}*{self.word_function.config_dict()['code']}"
 
-    def prefix_scanner(self):
+    @cached_property
+    def _chains(self):
+        """(log weight, step tables) per component with positive weight."""
         model = self.model
-        wf = self.word_function
         if isinstance(model, MixtureSource):
-            children = [
-                InducedMeasure(comp, wf).prefix_scanner() for comp in model.components
-            ]
-            return _MixtureScanner([float(v) for v in model._log_weights], children)
-        return _InducedScanner(_SourceKernel(model), wf.codewords, wf.max_codeword_length)
+            parts = zip(model._log_weights, model.components)
+        else:
+            parts = [(0.0, model)]
+        return tuple((float(lw), _chain_steps(comp, self.word_function))
+                     for lw, comp in parts if lw > NEG_INF)
+
+    def prefix_scanner(self):
+        chains = self._chains
+        return _ChainScanner(chains, self.alphabet_size, [[1.0] for _ in chains],
+                             [0.0] * len(chains))
 
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""
@@ -194,8 +192,8 @@ class InducedMeasure:
             raise DomainError("cylinder tuple must be nonempty")
         scanner = self.prefix_scanner()
         lp = NEG_INF
-        for s in arr:
-            lp = scanner.advance(int(s))
+        for s in arr.tolist():
+            lp = scanner.advance(s)
             if lp == NEG_INF:
                 return NEG_INF
         return lp
@@ -215,7 +213,7 @@ class InducedMeasure:
         for s in arr:
             suffix = suffix * B + int(s)
         slice_lps = table.reshape(B**shift, B**arr.size)[:, suffix]
-        lp = _np_logsumexp(slice_lps)
+        lp = _logsumexp(slice_lps.tolist())
         return math.exp(lp) if lp > NEG_INF else 0.0
 
     def sample_path(self, length, seed):
@@ -411,8 +409,8 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
         zeta_n = enc.total_length
         scanner = induced.prefix_scanner()
         lp = NEG_INF
-        for s in enc.output:
-            lp = scanner.advance(int(s))
+        for s in enc.output.tolist():
+            lp = scanner.advance(s)
             if lp == NEG_INF:
                 break
         if lp == NEG_INF:

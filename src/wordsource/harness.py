@@ -216,7 +216,7 @@ def resolve_config(raw):
                             **raw.get("tolerances", {})}
     merged["params"] = {**defaults.get("params", {}), **raw.get("params", {})}
 
-    seed = _require_int(merged.get("seed"), "seed")
+    seed = _require_int(merged.get("seed"), "seed", minimum=0)
     horizon = merged.get("horizon")
     if horizon is not None:
         horizon = _require_int(horizon, "horizon", minimum=1)
@@ -263,8 +263,12 @@ def resolve_config(raw):
     )
 
 
-def validate_config(path):
-    """Load and resolve a config file, reporting schema problems by JSON path."""
+def validate_config(path, overrides=None):
+    """Load and resolve a config file, reporting schema problems by JSON path.
+
+    ``overrides`` replace top-level fields of the file and are validated
+    with them.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -272,6 +276,8 @@ def validate_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return resolve_config(raw)
 
 

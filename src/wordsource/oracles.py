@@ -1,8 +1,8 @@
-"""Brute-force reference computations, independent of the DP evaluators.
+"""Brute-force reference computations, independent of the chain kernel.
 
 Everything here enumerates source tuples directly and never touches the
-boundary dynamic program, so agreement between the two is a genuine
-cross-check rather than a tautology.
+induced measure's forward algorithm, so agreement between the two is a
+genuine cross-check rather than a tautology.
 """
 
 from __future__ import annotations

@@ -41,6 +41,9 @@ DEFAULT_MAX_SHIFT_STEPS = 10**7
 # Sum tolerance accepted for probability vectors before renormalisation.
 PROB_SUM_TOL = 1e-9
 
+# Uniforms per bulk successor lookup in Markov sampling.
+SAMPLE_CHUNK = 4096
+
 
 def as_symbols(symbols, alphabet_size):
     """Validate a symbol tuple and return it as a 1-D int64 array.
@@ -486,14 +489,20 @@ class MarkovSource(SourceModel):
         if state > self._init_top:
             state = self._init_top
         out[0] = state
-        cum = self._cum_rows
-        tops = self._row_top
-        for i in range(1, length):
-            nxt = int(np.searchsorted(cum[state], u[i], side="right"))
-            if nxt > tops[state]:
-                nxt = int(tops[state])
-            state = nxt
-            out[i] = state
+        # Look up each state's successor for a whole chunk of uniforms at
+        # once, then walk the chain through those tables; the chunk bounds
+        # the tables' memory.
+        for start in range(1, length, SAMPLE_CHUNK):
+            chunk = u[start:start + SAMPLE_CHUNK]
+            successors = [
+                np.minimum(np.searchsorted(cum, chunk, side="right"), top).tolist()
+                for cum, top in zip(self._cum_rows, self._row_top)
+            ]
+            walk = []
+            for i in range(chunk.size):
+                state = successors[state][i]
+                walk.append(state)
+            out[start:start + chunk.size] = walk
         return out, None
 
     def is_irreducible(self):

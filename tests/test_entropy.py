@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordsource import (
     DomainError,
@@ -355,3 +357,81 @@ def test_output_chain_entropy_rate_equals_bound():
         source = IIDSource([p, 1 - p])
         bound = source.entropy_rate_exact() / (2 - p)
         assert chain.entropy_rate_exact() == pytest.approx(bound, abs=1e-12)
+
+
+# -- chain kernel guards ---------------------------------------------------------
+# Prefix-free codes satisfy q(f(a^n)) = mu(a^n) exactly, so the source's own
+# cylinder probability is an independent reference for the induced scan.
+
+def _assert_prefix_free_identity(model, wf, x):
+    mu = model.cylinder_log_probability(x)
+    q = InducedMeasure(model, wf).cylinder_log_probability(encode_stream(wf, x).output)
+    assert abs(q - mu) <= 1e-9 * abs(mu)
+
+
+def test_kernel_mixture_swing_between_components():
+    # the path moves from one component's typical set to the other's; a log
+    # scale shared across the components is off here by ln 2
+    swing = MixtureSource([0.5, 0.5], [IIDSource([0.99, 0.01]), IIDSource([0.01, 0.99])])
+    _assert_prefix_free_identity(swing, WF, [0] * 2000 + [1] * 2000)
+
+
+def test_kernel_tiny_transition_taken_repeatedly():
+    tiny = MarkovSource([[1.0, 1e-300], [0.5, 0.5]], [1.0, 0.0])
+    x = [0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1] * 3
+    assert tiny.cylinder_log_probability(x) < 9 * math.log(1e-300)
+    _assert_prefix_free_identity(tiny, WF, x)
+
+
+def test_kernel_zero_weight_mixture_component():
+    mix = MixtureSource([1.0, 0.0], [IIDSource([0.5, 0.5]), IIDSource([0.9, 0.1])])
+    for seed in range(3):
+        _assert_prefix_free_identity(mix, WF, FAIR.sample_path(500, seed).symbols)
+
+
+# -- property test: chain kernel against the brute-force oracle -----------------
+
+def _weights(size, positive=False):
+    # small integer weights, normalised; zeros give zero-probability symbols
+    low = 1 if positive else 0
+    return st.lists(st.integers(low, 4), min_size=size, max_size=size).map(
+        lambda w: [v / sum(w) for v in w] if any(w) else [1.0] + [0.0] * (size - 1)
+    )
+
+
+@st.composite
+def _model_and_codebook(draw):
+    A = draw(st.integers(2, 3))
+    B = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["iid", "markov", "mixture"]))
+    if kind == "iid":
+        model = IIDSource(draw(_weights(A)))
+    elif kind == "markov":
+        model = MarkovSource([draw(_weights(A)) for _ in range(A)], draw(_weights(A)))
+    else:
+        # mixture components must be ergodic: IID, or Markov with full support
+        comps = [
+            IIDSource(draw(_weights(A))) if draw(st.booleans())
+            else MarkovSource([draw(_weights(A, positive=True)) for _ in range(A)],
+                              draw(_weights(A)))
+            for _ in range(2)
+        ]
+        model = MixtureSource(draw(_weights(2)), comps)
+    # codewords drawn independently, so duplicates and prefixes occur
+    words = st.lists(st.integers(0, B - 1), min_size=1, max_size=3)
+    wf = WordFunction(A, B, tuple(tuple(draw(words)) for _ in range(A)))
+    return model, wf
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_model_and_codebook())
+def test_kernel_matches_oracle_property(pair):
+    model, wf = pair
+    induced = InducedMeasure(model, wf)
+    for n in range(1, 7):
+        dp = block_log_probability_table(induced, n)
+        oracle = brute_force_induced_log_table(model, wf, n)
+        mask = dp > NEG_INF
+        assert np.array_equal(mask, oracle > NEG_INF)
+        if mask.any():
+            assert np.abs(dp[mask] - oracle[mask]).max() <= 1e-10

@@ -163,6 +163,22 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_negative_seed_exit_code(tmp_path, capsys):
+    config = {"experiment": "bellow", "seed": -1, "horizon": 2000,
+              "params": {"cases": 5}, "output_dir": str(tmp_path / "out")}
+    from_file = tmp_path / "negative.json"
+    from_file.write_text(json.dumps(config))
+    assert main(["run", "--config", str(from_file)]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+
+    # a command-line override is validated like the file it overrides
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({**config, "seed": 9}))
+    assert main(["run", "--config", str(good), "--seed", "-1"]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Source models: exact probabilities, sampling, stationarity diagnostics."""
 
+import hashlib
 import itertools
 import math
 
@@ -117,6 +118,31 @@ def test_sample_law_of_large_numbers():
 def test_markov_sample_matches_stationary_frequency():
     path = CHAIN.sample_path(10**5, seed=5)
     assert abs(np.mean(path.symbols == 0) - 5 / 6) < 0.01
+
+
+# sha256 of 1e4-symbol Markov paths as sampled by the per-step searchsorted
+# walk; the bulk sampler must reproduce them bit for bit, across its chunks
+PINNED_MARKOV_PATHS = {
+    "two": ([[0.9, 0.1], [0.5, 0.5]], [1.0, 0.0], [
+        "c2d511675a73a3889b72c0db3e642de58901c73ae97e3445cc3b84fc15e94ea7",
+        "f5baac8eab13b6771c6235a79354d0393a60871cc9b0cef3244f5276a3cdfad1",
+        "930106ff0677f98f31233359c341ef7a72d9d4e14e462d582ec6ad558c5147fc",
+    ]),
+    "three": ([[0.2, 0.3, 0.5], [0.0, 0.6, 0.4], [0.7, 0.3, 0.0]], [0.3, 0.3, 0.4], [
+        "dce686eaf5d7dbcf5bc562f7d7ba9c63fcdc67c17c2d6f350fe191683a3bc8a7",
+        "4a4340edd39c3bccaf023dcc5f61a0bcb5e8357925fa7b0033f97ed721e81039",
+        "a6d90cb895f5913cdae413112751191cfb8bb3681f4bb38fe69a10da3b3a8f9a",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MARKOV_PATHS))
+def test_markov_sample_paths_pinned(name):
+    P, init, digests = PINNED_MARKOV_PATHS[name]
+    model = MarkovSource(P, init)
+    for seed, digest in enumerate(digests):
+        symbols = model.sample_path(10_000, seed).symbols
+        assert hashlib.sha256(symbols.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_mixture_degenerate_weights_sample_single_component():

@@ -73,7 +73,7 @@ def _symbols_arg(text):
 
 
 def _emit_table(path, columns, rows, fmt):
-    writer = write_table_csv if fmt == "csv" else write_table_jsonl
+    writer = write_table_jsonl if fmt == "jsonl" else write_table_csv
     writer(path, columns, rows)
     print(f"wrote {path}")
 
@@ -139,11 +139,19 @@ def cmd_entropy_trace(args):
     return EXIT_PASS
 
 
-def _run_named(name, overrides):
-    cfg = resolve_config({"experiment": name, **overrides})
-    manifest = run_experiment(cfg)
+def _overrides(args, *keys):
+    """Config fields given on the command line; absent flags keep the config's."""
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    if args.out:
+        overrides["output_dir"] = args.out
+    return overrides
+
+
+def _run(config):
+    manifest = run_experiment(config)
     print(f"experiment: {manifest.experiment}")
     print(f"config_hash: {manifest.config_hash}")
+    print(f"artifact_version: {manifest.artifact_version}")
     print(f"passed: {manifest.passed}")
     print(f"wall_time_s: {manifest.wall_time_s:.3f}")
     for f in manifest.output_files:
@@ -154,18 +162,11 @@ def _run_named(name, overrides):
 def cmd_aep(args):
     model_cfg = _json_arg(args.model) if args.model else None
     codebook_cfg = _json_arg(args.codebook) if args.codebook else None
-    overrides = {}
+    overrides = _overrides(args, "seed", "horizon", "paths", "format")
     if model_cfg:
         overrides["model"] = model_cfg
     if codebook_cfg:
         overrides["codebook"] = codebook_cfg
-    for key in ("seed", "horizon", "paths"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.out:
-        overrides["output_dir"] = args.out
-    overrides["format"] = args.format
     model = model_from_config(model_cfg or EXPERIMENT_DEFAULTS["aep-prefix-free"]["model"])
     wf = word_function_from_config(
         codebook_cfg or EXPERIMENT_DEFAULTS["aep-prefix-free"]["codebook"]
@@ -176,21 +177,18 @@ def cmd_aep(args):
         name = "aep-prefix-free"
     else:
         name = "aep-non-prefix-free"
-    return _run_named(name, overrides)
+    return _run(resolve_config({"experiment": name, **overrides}))
 
 
 def cmd_conservation(args):
-    overrides = {}
+    overrides = _overrides(args, "format")
     if args.model:
         overrides["model"] = _json_arg(args.model)
     if args.codebook:
         overrides["codebook"] = _json_arg(args.codebook)
     if args.block_cap:
         overrides["params"] = {"block_cap": args.block_cap}
-    if args.out:
-        overrides["output_dir"] = args.out
-    overrides["format"] = args.format
-    return _run_named("conservation", overrides)
+    return _run(resolve_config({"experiment": "conservation", **overrides}))
 
 
 def cmd_ams_check(args):
@@ -260,8 +258,6 @@ def cmd_vls_orbit(args):
 
 
 def cmd_bellow(args):
-    if args.config:
-        return cmd_run(args)
     horizon = args.horizon
     zeta = np.arange(0, horizon + args.stride + 1, args.stride)
     ts = TimeSubsequence(zeta=zeta)
@@ -279,27 +275,14 @@ def cmd_bellow(args):
 
 
 def cmd_run(args):
-    overrides = {}
-    for key in ("seed", "horizon", "paths", "format"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    manifest = run_experiment(validate_config(args.config, overrides))
-    print(f"experiment: {manifest.experiment}")
-    print(f"config_hash: {manifest.config_hash}")
-    print(f"artifact_version: {manifest.artifact_version}")
-    print(f"passed: {manifest.passed}")
-    print(f"wall_time_s: {manifest.wall_time_s:.3f}")
-    for f in manifest.output_files:
-        print(f"wrote {f}")
-    return EXIT_PASS if manifest.passed else EXIT_VERDICT
+    overrides = _overrides(args, "seed", "horizon", "paths", "format")
+    return _run(validate_config(args.config, overrides))
 
 
 def _add_common_out(sub):
     sub.add_argument("--out", help="output file or directory")
-    sub.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    sub.add_argument("--format", choices=["csv", "jsonl"],
+                     help="table format (default csv, or the config's format)")
 
 
 def build_parser():
@@ -387,11 +370,8 @@ def build_parser():
     sub.set_defaults(fn=cmd_vls_orbit)
 
     sub = subs.add_parser("bellow", help="density-lemma partial sums")
-    sub.add_argument("--config", help="run the config-driven experiment instead")
     sub.add_argument("--horizon", type=int, default=10_000)
     sub.add_argument("--stride", type=int, default=2)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--paths", type=int)
     _add_common_out(sub)
     sub.set_defaults(fn=cmd_bellow)
 

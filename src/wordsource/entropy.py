@@ -24,7 +24,9 @@ identical.
 
 Block distributions, joint entropies H_n, per-sequence sample-entropy traces
 and the AEP experiment (per-path sample entropy against the component bound
-entropy-rate / expected-codeword-length) are built on the same scanner.
+entropy-rate / expected-codeword-length) are built on the same scanner. A
+source model's own law mu is the identity-codebook case, so its prefix scans
+(``SourceModel.prefix_scanner``) run on this kernel too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ergodic import _trailing_spread
 from .errors import DomainError, ResourceError
 from .sources import (
     LN2,
@@ -268,17 +271,7 @@ def joint_entropy_exact(measure, n, max_cells=DEFAULT_ENUMERATION_CELLS):
     """H_n in bits by full enumeration; zero-probability cylinders add 0."""
     lps = block_log_probability_table(measure, n, max_cells=max_cells)
     finite = lps[lps > NEG_INF]
-    return float(-(np.exp(finite) * finite).sum() / LN2)
-
-
-def _trailing_spread(values):
-    """Max minus min over the last quartile (at least two points) of a trace."""
-    if len(values) == 0:
-        return float("inf")
-    if len(values) == 1:
-        return 0.0
-    tail = values[-max(2, -(-len(values) // 4)):]
-    return float(max(tail) - min(tail))
+    return float(0.0 - (np.exp(finite) * finite).sum() / LN2)
 
 
 @dataclass(frozen=True)
@@ -321,7 +314,7 @@ def sample_entropy_trace(measure, symbols, checkpoints, tol=1e-2):
             break
         if pos + 1 == next_cp:
             horizons.append(pos + 1)
-            values.append(-lp / ((pos + 1) * LN2))
+            values.append((0.0 - lp) / ((pos + 1) * LN2))
             try:
                 next_cp = next(cp_iter)
             except StopIteration:
@@ -415,7 +408,8 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
                 break
         if lp == NEG_INF:
             raise DomainError("encoded path left the induced support; inconsistent DP")
-        empirical = -lp / (zeta_n * LN2)
+        # 0.0 - lp, not -lp: a path of probability 1 gets +0.0, never -0.0
+        empirical = (0.0 - lp) / (zeta_n * LN2)
         source_lp = model.cylinder_log_probability(ps.symbols)
         bound = bounds[comp_idx].bound
         if empirical > bound + tol:
@@ -430,8 +424,8 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
             empirical_h=empirical,
             prefix_free=prefix_free,
             verdict=verdict,
-            source_sample_entropy=-source_lp / (horizon * LN2),
-            scaled_output_sample_entropy=-lp / (horizon * LN2),
+            source_sample_entropy=(0.0 - source_lp) / (horizon * LN2),
+            scaled_output_sample_entropy=(0.0 - lp) / (horizon * LN2),
             input_horizon=horizon,
             output_horizon=zeta_n,
             path_index=idx,

@@ -17,17 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
+from .shifts import _window_codes
 from .sources import SourceModel, as_symbols, seed_sequence
 
 MAX_CYLINDER_ORDER = 12
 
 
-def _window_codes(arr, alphabet_size, order):
-    if arr.size < order:
-        return np.empty(0, dtype=np.int64)
-    win = np.lib.stride_tricks.sliding_window_view(arr, order)
-    powers = alphabet_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    return win @ powers
+def _trailing_spread(values):
+    """Max minus min over the last quartile (at least two points) of a trace."""
+    if len(values) == 0:
+        return float("inf")
+    if len(values) == 1:
+        return 0.0
+    tail = values[-max(2, -(-len(values) // 4)):]
+    return float(max(tail) - min(tail))
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,7 @@ class ConvergenceVerdict:
 
 def _verdict(checkpoints, partials, tol, stderr2=None):
     partials = np.asarray(partials, dtype=float)
-    vals = partials.tolist()
-    if len(vals) == 1:
-        spread = 0.0
-    else:
-        tail = vals[-max(2, -(-len(vals) // 4)):]
-        spread = float(max(tail) - min(tail))
+    spread = _trailing_spread(partials.tolist())
     return ConvergenceVerdict(
         checkpoints=np.asarray(checkpoints, dtype=np.int64),
         partial_averages=partials,

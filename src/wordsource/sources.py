@@ -17,6 +17,11 @@ component per path and holds it fixed, so each realisation is governed by a
 single ergodic component, and the mixture's cylinder probabilities are the
 weight-sums of the component probabilities.
 
+``cylinder_log_probability`` is a vectorised sum of log factors. Prefix
+scans (``prefix_scanner``) are a separate path: mu is the induced law under
+the identity codebook, so they run on the chain kernel of ``entropy``, and
+the vectorised sum stays an independent check of that kernel.
+
 Probabilities are carried in natural log internally; bits appear only at
 reporting boundaries. Long paths underflow linear space, logs do not.
 """
@@ -285,63 +290,17 @@ class SourceModel:
         raise NotImplementedError
 
     def prefix_scanner(self):
-        """Incremental evaluator of log mu([w^n]) as symbols are appended."""
-        raise NotImplementedError
+        """Incremental evaluator of log mu([w^n]) as symbols are appended.
 
+        mu is the induced law under the identity codebook, so the scan runs
+        on the induced measure's chain kernel.
+        """
+        from .entropy import InducedMeasure  # entropy imports this module
+        from .wordcode import WordFunction
 
-class _IIDScanner:
-    __slots__ = ("log_marginal", "log_prob")
-
-    def __init__(self, log_marginal, log_prob=0.0):
-        self.log_marginal = log_marginal
-        self.log_prob = log_prob
-
-    def advance(self, symbol):
-        self.log_prob += self.log_marginal[symbol]
-        return self.log_prob
-
-    def clone(self):
-        return _IIDScanner(self.log_marginal, self.log_prob)
-
-
-class _MarkovScanner:
-    __slots__ = ("log_init", "log_matrix", "state", "log_prob")
-
-    def __init__(self, log_init, log_matrix, state=-1, log_prob=0.0):
-        self.log_init = log_init
-        self.log_matrix = log_matrix
-        self.state = state
-        self.log_prob = log_prob
-
-    def advance(self, symbol):
-        if self.state < 0:
-            self.log_prob += self.log_init[symbol]
-        else:
-            self.log_prob += self.log_matrix[self.state][symbol]
-        self.state = symbol
-        return self.log_prob
-
-    def clone(self):
-        return _MarkovScanner(self.log_init, self.log_matrix, self.state, self.log_prob)
-
-
-class _MixtureScanner:
-    __slots__ = ("log_weights", "children")
-
-    def __init__(self, log_weights, children):
-        self.log_weights = log_weights
-        self.children = children
-
-    def advance(self, symbol):
-        terms = []
-        for lw, child in zip(self.log_weights, self.children):
-            lp = child.advance(symbol)
-            if lw > NEG_INF and lp > NEG_INF:
-                terms.append(lw + lp)
-        return _clamp_log_prob(_logsumexp(terms))
-
-    def clone(self):
-        return _MixtureScanner(self.log_weights, [c.clone() for c in self.children])
+        A = self.alphabet_size
+        identity = WordFunction(A, A, tuple((a,) for a in range(A)))
+        return InducedMeasure(self, identity).prefix_scanner()
 
 
 class IIDSource(SourceModel):
@@ -354,7 +313,6 @@ class IIDSource(SourceModel):
         self.distribution = dist
         self.alphabet_size = dist.size
         self._log_dist = _log_vector(dist)
-        self._log_dist_list = [float(v) for v in self._log_dist]
 
     def config_dict(self):
         return {"type": "iid", "dist": [float(p) for p in self.distribution]}
@@ -394,9 +352,6 @@ class IIDSource(SourceModel):
         p = self.distribution[mask]
         return float(-(p * np.log2(p)).sum())
 
-    def prefix_scanner(self):
-        return _IIDScanner(self._log_dist_list)
-
 
 class MarkovSource(SourceModel):
     """First-order Markov chain over a finite alphabet."""
@@ -415,8 +370,6 @@ class MarkovSource(SourceModel):
         self.alphabet_size = self.matrix.shape[0]
         self._log_matrix = _log_vector(self.matrix)
         self._log_init = _log_vector(self.initial)
-        self._log_matrix_list = [[float(v) for v in row] for row in self._log_matrix]
-        self._log_init_list = [float(v) for v in self._log_init]
         self._cum_rows = np.cumsum(self.matrix, axis=1)
         # highest supported symbol per row: the clamp target when a uniform
         # draw lands past a cumulative sum that rounded below 1
@@ -541,9 +494,6 @@ class MarkovSource(SourceModel):
         logs = np.where(mask, np.log2(np.where(mask, self.matrix, 1.0)), 0.0)
         return float(-(pi[:, None] * self.matrix * logs).sum())
 
-    def prefix_scanner(self):
-        return _MarkovScanner(self._log_init_list, self._log_matrix_list)
-
 
 class MixtureSource(SourceModel):
     """Finite mixture of ergodic components; the extensional ergodic decomposition.
@@ -632,12 +582,6 @@ class MixtureSource(SourceModel):
 
     def entropy_rate_exact(self):
         return float(sum(w * c.entropy_rate_exact() for w, c in zip(self.weights, self.components)))
-
-    def prefix_scanner(self):
-        return _MixtureScanner(
-            [float(v) for v in self._log_weights],
-            [c.prefix_scanner() for c in self.components],
-        )
 
 
 def model_from_config(config):

@@ -143,7 +143,8 @@ def test_joint_entropy_induced_single_symbol():
 
 def test_joint_entropy_deterministic_measure():
     point = IIDSource([1.0, 0.0])
-    assert joint_entropy_exact(point, 6) == 0.0
+    h = joint_entropy_exact(point, 6)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def test_joint_entropy_enumeration_cap():
@@ -179,7 +180,12 @@ def test_trace_mixture_path_concentrates_on_component():
             path = candidate
             break
     assert path is not None
-    trace = sample_entropy_trace(MIX, path.symbols, [10**4])
+    checkpoints = [10, 100, 1000, 10**4]
+    trace = sample_entropy_trace(MIX, path.symbols, checkpoints)
+    # the scan agrees with the mixture's vectorised cylinder sum
+    for n, value in zip(checkpoints, trace.values):
+        lp = MIX.cylinder_log_probability(path.symbols[:n])
+        assert value == pytest.approx(-lp / (n * math.log(2.0)), abs=1e-12)
     assert abs(trace.values[-1] - binary_entropy(0.9)) < 0.03
     mixture_average = 0.5 * 1.0 + 0.5 * binary_entropy(0.9)
     assert abs(trace.values[-1] - mixture_average) > 0.2
@@ -220,6 +226,7 @@ def test_aep_non_prefix_free_strict_inequality():
     for r in reports:
         assert not r.prefix_free
         assert r.empirical_h == 0.0
+        assert math.copysign(1.0, r.empirical_h) == 1.0
         assert r.verdict == "strict_inequality"
         assert r.bound == pytest.approx(2 / 3, abs=1e-15)
 
@@ -301,14 +308,19 @@ def test_induced_law_matches_derived_output_chain():
     # Markov: a 1 is always followed by 0, and after any 0 the next symbol
     # restarts a codeword. For source marginal (p, 1-p) the output chain has
     # init (p, 1-p) and rows [[p, 1-p], [1, 0]]. The DP must reproduce that
-    # law exactly.
+    # law exactly. The reference is the chain's vectorised cylinder sum, not
+    # a scan: source tables run on the same kernel, so the chain's own table
+    # (a Markov source with a zero transition) is checked against it too, as
+    # is a mixture's.
+    cases = [(MIX, MIX)]
     for p in (0.5, 0.9, 0.3):
-        source = IIDSource([p, 1 - p])
-        induced = InducedMeasure(source, WF)
         chain = MarkovSource([[p, 1 - p], [1.0, 0.0]], [p, 1 - p])
+        cases += [(InducedMeasure(IIDSource([p, 1 - p]), WF), chain), (chain, chain)]
+    for measure, reference in cases:
         for n in (1, 4, 8, 10):
-            dp = block_log_probability_table(induced, n)
-            ref = block_log_probability_table(chain, n)
+            dp = block_log_probability_table(measure, n)
+            ref = np.array([reference.cylinder_log_probability(t)
+                            for t in itertools.product(range(2), repeat=n)])
             mask = dp > NEG_INF
             assert np.array_equal(mask, ref > NEG_INF)
             assert np.abs(dp[mask] - ref[mask]).max() < 1e-10

@@ -200,6 +200,23 @@ def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(failing)]) == 1
 
 
+def test_cli_run_keeps_config_format(tmp_path, capsys):
+    cfg = tmp_path / "jsonl.json"
+    cfg.write_text(json.dumps({
+        "experiment": "bellow", "seed": 9, "horizon": 2000, "format": "jsonl",
+        "params": {"cases": 5}, "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(cfg)]) == 0
+    tables = sorted(p.suffix for p in (tmp_path / "out").iterdir() if p.suffix != ".json")
+    assert tables and set(tables) == {".jsonl"}
+
+    # the flag, when given, still overrides the file
+    assert main(["run", "--config", str(cfg), "--format", "csv",
+                 "--out", str(tmp_path / "csv")]) == 0
+    tables = sorted(p.suffix for p in (tmp_path / "csv").iterdir() if p.suffix != ".json")
+    assert tables and set(tables) == {".csv"}
+
+
 def test_cli_resource_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "big.json"
     cfg.write_text(json.dumps({

@@ -5,7 +5,7 @@ thin wrappers over the library. ``run`` executes a named, config-driven
 experiment and writes CSV/JSON results.
 
 Exit codes: 0 pass, 1 experiment verdict failure, 2 config or input error,
-3 resource-cap breach.
+3 resource-cap breach, 4 internal error (a fault in the package itself).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -51,6 +52,7 @@ EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _json_arg(text):
@@ -199,13 +201,12 @@ def cmd_ams_check(args):
     else:
         measure = model
     cylinders = [_symbols_arg(c) for c in args.cylinder]
-    verdicts = ams_diagnostic(measure, cylinders, args.horizon, seed=args.seed)
+    verdicts = ams_diagnostic(measure, cylinders, args.horizon)
     rows = []
     for cyl, verdict in zip(args.cylinder, verdicts):
         for n, v in zip(verdict.checkpoints, verdict.partial_averages):
             rows.append((cyl, int(n), repr(float(v))))
-        err = "" if verdict.stderr2 is None else f" +-{verdict.stderr2!r}"
-        print(f"cylinder {cyl}: final {verdict.final!r}{err} "
+        print(f"cylinder {cyl}: final {verdict.final!r} "
               f"spread {verdict.spread!r} converged {verdict.converged}")
     if args.out:
         _emit_table(args.out, ["cylinder", "n", "cesaro_average"], rows, args.format)
@@ -344,7 +345,6 @@ def build_parser():
     sub.add_argument("--cylinder", action="append", required=True,
                      help="cylinder digits; repeatable")
     sub.add_argument("--horizon", type=int, default=10_000)
-    sub.add_argument("--seed", type=int, default=0)
     _add_common_out(sub)
     sub.set_defaults(fn=cmd_ams_check)
 
@@ -401,6 +401,10 @@ def main(argv=None):
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         code = EXIT_RESOURCE
+    except Exception as exc:  # a fault of the package, not a failed verdict
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     return code
 
 

@@ -26,7 +26,9 @@ Block distributions, joint entropies H_n, per-sequence sample-entropy traces
 and the AEP experiment (per-path sample entropy against the component bound
 entropy-rate / expected-codeword-length) are built on the same scanner. A
 source model's own law mu is the identity-codebook case, so its prefix scans
-(``SourceModel.prefix_scanner``) run on this kernel too.
+(``SourceModel.prefix_scanner``) run on this kernel too. Shifted cylinder
+probabilities q(T^-i [b]) = (start T^i) . r_b, for sources too, step the
+same chain's dense transition matrix.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .ergodic import _trailing_spread
-from .errors import DomainError, ResourceError
+from .errors import DomainError, RangeError, ResourceError
 from .sources import (
+    DEFAULT_MAX_SHIFT_STEPS,
     LN2,
+    LOG_PROB_SLACK,
     NEG_INF,
     MarkovSource,
     MixtureSource,
@@ -57,6 +61,30 @@ from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_
 DEFAULT_ENUMERATION_CELLS = 2**20
 
 
+def _chain(model, word_function):
+    """States and moves of one IID or Markov component's chain.
+
+    The states are the pairs (a, k) in input-symbol, then offset, order;
+    state (a, k) emits ``word_function.codewords[a][k]``. ``moves(a, k)``
+    lists the (state, probability) pairs one step reaches, with (-1, 0)
+    standing for the fresh start.
+    """
+    codewords = word_function.codewords
+    if isinstance(model, MarkovSource):
+        rows, first = model.matrix.tolist(), model.initial.tolist()
+    else:
+        first = model.distribution.tolist()
+        rows = [first] * len(codewords)
+    states = [(a, k) for a, cw in enumerate(codewords) for k in range(len(cw))]
+
+    def moves(a, k):
+        if a >= 0 and k + 1 < len(codewords[a]):
+            return [((a, k + 1), 1.0)]
+        return [((t, 0), p) for t, p in enumerate(first if a < 0 else rows[a]) if p > 0.0]
+
+    return states, moves
+
+
 def _chain_steps(model, word_function):
     """Forward-step tables of one IID or Markov component's chain.
 
@@ -66,20 +94,11 @@ def _chain_steps(model, word_function):
     the target entry (i, terms), and a leak entry (j, w) is the mass state j
     sends to states that emit another symbol.
     """
+    states, moves = _chain(model, word_function)
     codewords = word_function.codewords
-    if isinstance(model, MarkovSource):
-        rows, first = model.matrix.tolist(), model.initial.tolist()
-    else:
-        first = model.distribution.tolist()
-        rows = [first] * len(codewords)
-    emitting = [[(a, k) for a, cw in enumerate(codewords) for k, s in enumerate(cw) if s == b]
+    emitting = [[(a, k) for a, k in states if codewords[a][k] == b]
                 for b in range(word_function.output_alphabet_size)]
     position = [{state: i for i, state in enumerate(states)} for states in emitting]
-
-    def moves(a, k):
-        if a >= 0 and k + 1 < len(codewords[a]):
-            return [((a, k + 1), 1.0)]
-        return [((t, 0), p) for t, p in enumerate(first if a < 0 else rows[a]) if p > 0.0]
 
     steps = []
     for sources in emitting + [[(-1, 0)]]:
@@ -173,15 +192,42 @@ class InducedMeasure:
         return f"{self.model.model_id}*{self.word_function.config_dict()['code']}"
 
     @cached_property
-    def _chains(self):
-        """(log weight, step tables) per component with positive weight."""
+    def _components(self):
+        """(weight, log weight, model) per component with positive weight."""
         model = self.model
         if isinstance(model, MixtureSource):
-            parts = zip(model._log_weights, model.components)
+            parts = zip(model.weights.tolist(), model._log_weights.tolist(), model.components)
         else:
-            parts = [(0.0, model)]
-        return tuple((float(lw), _chain_steps(comp, self.word_function))
-                     for lw, comp in parts if lw > NEG_INF)
+            parts = [(1.0, 0.0, model)]
+        return [part for part in parts if part[0] > 0.0]
+
+    @cached_property
+    def _chains(self):
+        """(log weight, step tables) per component, for the prefix scanner."""
+        return tuple((lw, _chain_steps(comp, self.word_function))
+                     for _, lw, comp in self._components)
+
+    @cached_property
+    def _matrix(self):
+        """(T, T transposed, start, emitted symbols) over the states (c, a, k).
+
+        c indexes the components, so a mixture's T is block-diagonal, and the
+        start vector holds each component's fresh start times its weight.
+        """
+        chains = [(w, *_chain(comp, self.word_function)) for w, _, comp in self._components]
+        states = [(c, a, k) for c, (_, each, _) in enumerate(chains) for a, k in each]
+        index = {state: i for i, state in enumerate(states)}
+
+        def row(c, a, k, weight=1.0):
+            out = np.zeros(len(states))
+            for (t, tk), p in chains[c][2](a, k):
+                out[index[c, t, tk]] = weight * p
+            return out
+
+        matrix = np.array([row(*state) for state in states])
+        start = sum(row(c, -1, 0, w) for c, (w, *_) in enumerate(chains))
+        emits = np.array([self.word_function.codewords[a][k] for _, a, k in states])
+        return matrix, np.ascontiguousarray(matrix.T), start, emits
 
     def prefix_scanner(self):
         chains = self._chains
@@ -201,23 +247,55 @@ class InducedMeasure:
                 return NEG_INF
         return lp
 
-    def shifted_cylinder_probability(self, symbols, shift, max_cells=DEFAULT_ENUMERATION_CELLS):
-        """q(T^-i [b]) via exact enumeration over the i leading symbols."""
+    def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
+        """q(T^-i [b]): the probability that b occupies positions i+1 .. i+n.
+
+        ``shift`` is one shift i, answered with a float, or a 1-D array of
+        shifts, answered with an array. The value is (start T^i) . r_b on the
+        chain, where r_b[s] is the probability of emitting b from state s:
+        one backward pass over b, then one forward step per shift. Once the
+        forward vector repeats bitwise, every later value repeats with it, so
+        stepping stops and the cycle is replayed, bit identical to stepping
+        on. Shift 0 is the cylinder itself, read from
+        ``cylinder_log_probability`` so that the two agree bitwise. Sums run
+        in a fixed order; values that rounding lifts above 1 are clamped.
+        """
         arr = as_symbols(symbols, self.alphabet_size)
-        if shift < 0:
+        if arr.size == 0:
+            raise DomainError("cylinder tuple must be nonempty")
+        shifts = np.asarray(shift)
+        if shifts.ndim > 1 or shifts.dtype.kind not in "iu":
+            raise DomainError("shift must be an integer or a 1-D array of integers")
+        flat = shifts.reshape(-1)
+        if flat.size and flat.min() < 0:
             raise DomainError("shift must be >= 0")
-        if shift == 0:
-            lp = self.cylinder_log_probability(arr)
-            return math.exp(lp) if lp > NEG_INF else 0.0
-        n = shift + arr.size
-        table = block_log_probability_table(self, n, max_cells=max_cells)
-        B = self.alphabet_size
-        suffix = 0
-        for s in arr:
-            suffix = suffix * B + int(s)
-        slice_lps = table.reshape(B**shift, B**arr.size)[:, suffix]
-        lp = _logsumexp(slice_lps.tolist())
-        return math.exp(lp) if lp > NEG_INF else 0.0
+        top = int(flat.max(initial=0))
+        if top > max_steps:
+            raise RangeError(f"shift {top} exceeds the cap of {max_steps} steps")
+        matrix, matrix_t, start, emits = self._matrix
+        r = (emits == arr[-1]) * 1.0
+        for b in arr[-2::-1].tolist():
+            r = (emits == b) * (matrix * r).sum(axis=1)
+        values, v, anchor, anchor_at = [], start, None, 0
+        index = flat
+        for i in range(top + 1):
+            key = v.tobytes()
+            if key == anchor:
+                # v_i == v_j bitwise: from j on, values repeat with period i - j
+                index = np.where(flat < i, flat, anchor_at + (flat - anchor_at) % (i - anchor_at))
+                break
+            if i >= 2 * anchor_at:  # Brent's cycle finding: anchors at 0, 1, 2, 4, 8, ...
+                anchor, anchor_at = key, i
+            values.append((v * r).sum())
+            v = (matrix_t * v).sum(axis=1)
+        out = np.array(values)[index]
+        if not flat.all():
+            out[flat == 0] = math.exp(self.cylinder_log_probability(arr))
+        peak = out.max(initial=0.0)
+        if peak > 1.0 + LOG_PROB_SLACK:
+            raise ArithmeticError(f"probability {peak!r} exceeds 1 beyond numerical slack")
+        out = np.minimum(out, 1.0)
+        return float(out[0]) if shifts.ndim == 0 else out
 
     def sample_path(self, length, seed):
         """Sample the first ``length`` output symbols (encode, then truncate)."""

@@ -7,18 +7,22 @@ scale. All convergence verdicts are finite-horizon proxies: a trace of
 partial averages whose last-quartile spread falls under a tolerance. A small
 battery of such verdicts is evidence for, never a proof of, the almost-sure
 statements they track.
+
+The AMS diagnostic's traces themselves are exact: for source models and
+induced measures alike, every shifted cylinder probability q(T^-i [b]) is
+computed on the measure's Markov chain, so no sampling error enters the
+Cesaro averages.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
 from .shifts import _window_codes
-from .sources import SourceModel, as_symbols, seed_sequence
+from .sources import as_symbols, seed_sequence
 
 MAX_CYLINDER_ORDER = 12
 
@@ -85,9 +89,7 @@ class ConvergenceVerdict:
     """A partial-average trace plus its finite-horizon convergence verdict.
 
     ``spread`` is max minus min over the last quartile of the trace;
-    ``converged`` means spread < tolerance. ``stderr2`` carries a two-sigma
-    sampling error bar when the trace was estimated from a path ensemble,
-    and is None for exact traces.
+    ``converged`` means spread < tolerance.
     """
 
     checkpoints: np.ndarray
@@ -96,10 +98,9 @@ class ConvergenceVerdict:
     spread: float
     converged: bool
     tolerance: float
-    stderr2: float | None = None
 
 
-def _verdict(checkpoints, partials, tol, stderr2=None):
+def _verdict(checkpoints, partials, tol):
     partials = np.asarray(partials, dtype=float)
     spread = _trailing_spread(partials.tolist())
     return ConvergenceVerdict(
@@ -109,7 +110,6 @@ def _verdict(checkpoints, partials, tol, stderr2=None):
         spread=spread,
         converged=spread < tol,
         tolerance=tol,
-        stderr2=stderr2,
     )
 
 
@@ -171,61 +171,24 @@ def ergodicity_spread(measure, g, paths, horizon, seed):
     return SpreadResult(spread=float(finals.std()), finals=finals)
 
 
-def ams_diagnostic(measure, cylinders, horizon, checkpoints=None, tol=1e-2,
-                   exact_cap=10, ensemble_paths=100, seed=0):
-    """Cesaro traces of shifted cylinder probabilities, one verdict per cylinder.
+def ams_diagnostic(measure, cylinders, horizon, checkpoints=None, tol=1e-2):
+    """Exact Cesaro traces of shifted cylinder probabilities, one verdict per cylinder.
 
-    Source models are evaluated exactly at every checkpoint. Induced measures
-    are evaluated exactly while the enumeration stays under ``exact_cap``
-    leading symbols and by a seeded path ensemble beyond it, with a 2-sigma
-    error bar attached to the verdict.
+    ``measure`` is a source model or an induced measure. Either computes
+    every shifted probability q(T^-i [b]), i < horizon, exactly on its
+    chain, so the partial averages carry no sampling error.
     """
     if horizon < 100:
         raise DomainError("horizon must be >= 100")
     if checkpoints is None:
         checkpoints = default_checkpoints(horizon)
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
+    shifts = np.arange(int(cps[-1]))
     out = []
     for cyl in cylinders:
-        arr = as_symbols(cyl, measure.alphabet_size)
-        if isinstance(measure, SourceModel):
-            trace = measure._shifted_probability_trace(arr, int(cps[-1]))
-            csum = np.cumsum(trace)
-            partials = csum[cps - 1] / cps
-            out.append(_verdict(cps, partials, tol))
-        else:
-            out.append(_induced_cesaro(measure, arr, cps, tol, exact_cap,
-                                       ensemble_paths, seed))
+        csum = np.cumsum(measure.shifted_cylinder_probability(cyl, shifts))
+        out.append(_verdict(cps, csum[cps - 1] / cps, tol))
     return out
-
-
-def _induced_cesaro(measure, arr, cps, tol, exact_cap, ensemble_paths, seed):
-    exact_cps = cps[cps <= exact_cap]
-    partials = []
-    if exact_cps.size:
-        shifted = [
-            measure.shifted_cylinder_probability(arr, i) for i in range(int(exact_cps[-1]))
-        ]
-        csum = np.cumsum(shifted)
-        partials.extend((csum[exact_cps - 1] / exact_cps).tolist())
-    big_cps = cps[cps > exact_cap]
-    stderr2 = None
-    if big_cps.size:
-        horizon = int(big_cps[-1])
-        children = seed_sequence(seed).spawn(ensemble_paths)
-        k = arr.size
-        per_path = np.empty((ensemble_paths, big_cps.size))
-        g_code_powers = measure.alphabet_size ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        target = int(arr @ g_code_powers)
-        for idx in range(ensemble_paths):
-            ps = measure.sample_path(horizon + k - 1, children[idx])
-            codes = _window_codes(ps.symbols, measure.alphabet_size, k)
-            hits = np.cumsum(codes == target)
-            per_path[idx] = hits[big_cps - 1] / big_cps
-        means = per_path.mean(axis=0)
-        partials.extend(means.tolist())
-        stderr2 = float(2.0 * per_path[:, -1].std(ddof=1) / math.sqrt(ensemble_paths))
-    return _verdict(cps, partials, tol, stderr2=stderr2)
 
 
 @dataclass(frozen=True)

@@ -338,11 +338,11 @@ def run_ams_markov(cfg):
     horizon = cfg.horizon
     cyl = [0]
     step_count = int(p["per_step_count"])
-    per_step = periodic._shifted_probability_trace(np.array(cyl), step_count)
+    per_step = periodic.shifted_cylinder_probability(cyl, np.arange(step_count)).tolist()
     expected_alternation = [1.0 if i % 2 == 0 else 0.0 for i in range(step_count)]
     alternates = per_step == expected_alternation
     cps = default_checkpoints(horizon)
-    per_trace = periodic._shifted_probability_trace(np.array(cyl), horizon)
+    per_trace = periodic.shifted_cylinder_probability(cyl, np.arange(horizon))
     cesaro_periodic = np.cumsum(per_trace)[cps - 1] / cps
     periodic_ok = bool(np.all(np.abs(cesaro_periodic - 0.5) <= 1.0 / cps))
     aper_final = aperiodic.cesaro_cylinder_average(cyl, horizon)

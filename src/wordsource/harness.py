@@ -212,9 +212,18 @@ def resolve_config(raw):
         )
     defaults = EXPERIMENT_DEFAULTS[name]
     merged = {**defaults, **{k: v for k, v in raw.items() if k != "experiment"}}
-    merged["tolerances"] = {**defaults.get("tolerances", {}),
-                            **raw.get("tolerances", {})}
-    merged["params"] = {**defaults.get("params", {}), **raw.get("params", {})}
+    for key in ("tolerances", "params"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{key}: expected an object")
+        merged[key] = {**defaults[key], **raw.get(key, {})}
+    for key, value in raw.get("params", {}).items():
+        if key not in defaults["params"]:
+            raise ConfigError(f"params.{key}: not a parameter of {name}; "
+                              f"valid keys: {sorted(defaults['params'])}")
+        default = defaults["params"][key]
+        if isinstance(default, int) and not isinstance(default, bool):
+            # every integer parameter counts something; min_within may be 0
+            _require_int(value, f"params.{key}", minimum=0 if key == "min_within" else 1)
 
     seed = _require_int(merged.get("seed"), "seed", minimum=0)
     horizon = merged.get("horizon")
@@ -223,15 +232,10 @@ def resolve_config(raw):
     paths = merged.get("paths")
     if paths is not None:
         paths = _require_int(paths, "paths", minimum=1)
-    tolerances = merged.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances: expected an object")
+    tolerances = merged["tolerances"]
     for key, value in tolerances.items():
         if not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerances.{key}: must be a positive number")
-    params = merged.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params: expected an object")
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")
@@ -257,7 +261,7 @@ def resolve_config(raw):
         horizon=horizon,
         paths=paths,
         tolerances=tolerances,
-        params=params,
+        params=merged["params"],
         output_dir=merged.get("output_dir"),
         format=fmt,
     )

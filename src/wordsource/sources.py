@@ -10,17 +10,19 @@ Every model answers exact cylinder probabilities mu([a^n]) in natural-log
 space, samples reproducible paths from an explicit seed, evaluates shifted
 cylinder probabilities mu(T^-i [a^n]) and their Cesaro averages (the
 finite-horizon stationarity / AMS diagnostics), exposes its ergodic
-components, and reports its exact entropy rate in bits per symbol.
+components, and reports its exact entropy rate in bits per symbol. Shifted
+probabilities have no per-family code: mu is the induced law under the
+identity codebook, so they are the induced measure's exact chain
+computation, as are prefix scans.
 
 Mixtures realise the ergodic decomposition extensionally: sampling draws one
 component per path and holds it fixed, so each realisation is governed by a
 single ergodic component, and the mixture's cylinder probabilities are the
 weight-sums of the component probabilities.
 
-``cylinder_log_probability`` is a vectorised sum of log factors. Prefix
-scans (``prefix_scanner``) are a separate path: mu is the induced law under
-the identity codebook, so they run on the chain kernel of ``entropy``, and
-the vectorised sum stays an independent check of that kernel.
+``cylinder_log_probability`` is a vectorised sum of log factors, a path
+separate from the chain kernel of ``entropy``, so it stays an independent
+check of that kernel.
 
 Probabilities are carried in natural log internally; bits appear only at
 reporting boundaries. Long paths underflow linear space, logs do not.
@@ -246,8 +248,12 @@ class SourceModel:
         raise NotImplementedError
 
     def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
-        """mu(T^-i [a^n]): probability the tuple occupies positions i+1 .. i+n."""
-        raise NotImplementedError
+        """mu(T^-i [a^n]) for one shift i or a 1-D array of shifts.
+
+        mu is the induced law under the identity codebook, so this is the
+        induced measure's exact chain computation.
+        """
+        return self._identity_measure().shifted_cylinder_probability(symbols, shift, max_steps)
 
     def cesaro_cylinder_average(self, symbols, horizon, max_steps=DEFAULT_MAX_SHIFT_STEPS):
         """(1/n) sum_{i<n} mu(T^-i [a^n]); convergence over n is the AMS diagnostic."""
@@ -258,11 +264,8 @@ class SourceModel:
         if self.is_stationary():
             # Shifted probabilities are all identical; the mean is exact.
             return self.shifted_cylinder_probability(symbols, 0)
-        return math.fsum(self._shifted_probability_trace(symbols, horizon)) / horizon
-
-    def _shifted_probability_trace(self, symbols, horizon):
-        """List of mu(T^-i [a^n]) for i = 0 .. horizon-1."""
-        raise NotImplementedError
+        trace = self.shifted_cylinder_probability(symbols, np.arange(horizon), max_steps)
+        return math.fsum(trace) / horizon
 
     def is_stationary(self):
         raise NotImplementedError
@@ -289,18 +292,20 @@ class SourceModel:
         """Entropy rate in bits per symbol (mixtures: component-weighted average)."""
         raise NotImplementedError
 
-    def prefix_scanner(self):
-        """Incremental evaluator of log mu([w^n]) as symbols are appended.
-
-        mu is the induced law under the identity codebook, so the scan runs
-        on the induced measure's chain kernel.
-        """
+    def _identity_measure(self):
+        """This model under the identity codebook, whose induced law is mu."""
         from .entropy import InducedMeasure  # entropy imports this module
         from .wordcode import WordFunction
 
         A = self.alphabet_size
-        identity = WordFunction(A, A, tuple((a,) for a in range(A)))
-        return InducedMeasure(self, identity).prefix_scanner()
+        return InducedMeasure(self, WordFunction(A, A, tuple((a,) for a in range(A))))
+
+    def prefix_scanner(self):
+        """Incremental evaluator of log mu([w^n]) as symbols are appended.
+
+        It runs on the chain kernel of the identity-codebook induced measure.
+        """
+        return self._identity_measure().prefix_scanner()
 
 
 class IIDSource(SourceModel):
@@ -325,18 +330,6 @@ class IIDSource(SourceModel):
 
     def marginal_distribution(self):
         return self.distribution.copy()
-
-    def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
-        if shift < 0:
-            raise DomainError("shift must be >= 0")
-        if shift > max_steps:
-            raise RangeError(f"shift {shift} exceeds the cap of {max_steps} steps")
-        lp = self.cylinder_log_probability(symbols)
-        return math.exp(lp) if lp > NEG_INF else 0.0
-
-    def _shifted_probability_trace(self, symbols, horizon):
-        p = self.shifted_cylinder_probability(symbols, 0)
-        return [p] * horizon
 
     def is_stationary(self):
         return True
@@ -396,40 +389,6 @@ class MarkovSource(SourceModel):
 
     def marginal_distribution(self):
         return self.initial.copy()
-
-    def _chain_log_factor(self, arr):
-        if arr.size > 1:
-            return float(self._log_matrix[arr[:-1], arr[1:]].sum())
-        return 0.0
-
-    def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
-        if shift < 0:
-            raise DomainError("shift must be >= 0")
-        if shift > max_steps:
-            raise RangeError(f"shift {shift} exceeds the cap of {max_steps} steps")
-        arr = as_symbols(symbols, self.alphabet_size)
-        if arr.size == 0:
-            raise DomainError("cylinder tuple must be nonempty")
-        marg = self.initial if shift == 0 else self.initial @ np.linalg.matrix_power(self.matrix, shift)
-        chain = self._chain_log_factor(arr)
-        head = float(marg[arr[0]])
-        if head <= 0.0 or chain == NEG_INF:
-            return 0.0
-        return head * math.exp(chain)
-
-    def _shifted_probability_trace(self, symbols, horizon):
-        arr = as_symbols(symbols, self.alphabet_size)
-        if arr.size == 0:
-            raise DomainError("cylinder tuple must be nonempty")
-        chain = self._chain_log_factor(arr)
-        factor = math.exp(chain) if chain > NEG_INF else 0.0
-        first = int(arr[0])
-        trace = []
-        marg = self.initial
-        for _ in range(horizon):
-            trace.append(float(marg[first]) * factor)
-            marg = marg @ self.matrix
-        return trace
 
     def is_stationary(self):
         return bool(np.array_equal(self.initial @ self.matrix, self.initial))
@@ -550,19 +509,6 @@ class MixtureSource(SourceModel):
         for w, comp in zip(self.weights, self.components):
             out += w * comp.marginal_distribution()
         return out
-
-    def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
-        return float(sum(
-            w * comp.shifted_cylinder_probability(symbols, shift, max_steps)
-            for w, comp in zip(self.weights, self.components)
-        ))
-
-    def _shifted_probability_trace(self, symbols, horizon):
-        traces = [comp._shifted_probability_trace(symbols, horizon) for comp in self.components]
-        return [
-            sum(w * tr[i] for w, tr in zip(self.weights, traces))
-            for i in range(horizon)
-        ]
 
     def is_stationary(self):
         return all(c.is_stationary() for c in self.components)

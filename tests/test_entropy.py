@@ -131,6 +131,20 @@ def test_induced_shifted_probability():
     assert induced.shifted_cylinder_probability([0], 0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_shifted_probability_stays_in_unit_interval():
+    # under {0, 00} every output symbol is 0; summing this chain's forward
+    # vector lifts the Markov source's value to 1.0000000000000004 unclamped
+    chain = MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])
+    for model in (chain, FAIR):
+        induced = InducedMeasure(model, WF_ALL_ZERO)
+        assert induced.shifted_cylinder_probability([0], np.arange(21)).tolist() == [1.0] * 21
+    # a chain whose mass exceeds 1 beyond rounding is an accounting bug
+    matrix, matrix_t, start, emits = induced._matrix
+    induced.__dict__["_matrix"] = (matrix, matrix_t, 2.0 * start, emits)
+    with pytest.raises(ArithmeticError):
+        induced.shifted_cylinder_probability([0], 3)
+
+
 # -- block entropies -----------------------------------------------------------
 
 def test_joint_entropy_fair_coin():
@@ -440,10 +454,20 @@ def _model_and_codebook(draw):
 def test_kernel_matches_oracle_property(pair):
     model, wf = pair
     induced = InducedMeasure(model, wf)
+    oracles = {}
     for n in range(1, 7):
         dp = block_log_probability_table(induced, n)
-        oracle = brute_force_induced_log_table(model, wf, n)
+        oracle = oracles[n] = brute_force_induced_log_table(model, wf, n)
         mask = dp > NEG_INF
         assert np.array_equal(mask, oracle > NEG_INF)
         if mask.any():
             assert np.abs(dp[mask] - oracle[mask]).max() <= 1e-10
+    # q(T^-i [b]) is the oracle's mass on the length-(i + n) cells ending in b
+    B = wf.output_alphabet_size
+    for n in (1, 2):
+        for code in range(B**n):
+            b = [(code // B**k) % B for k in range(n - 1, -1, -1)]
+            shifted = induced.shifted_cylinder_probability(b, np.arange(5))
+            summed = [math.fsum(np.exp(oracles[i + n].reshape(B**i, B**n)[:, code]))
+                      for i in range(5)]
+            assert np.abs(shifted - summed).max() <= 1e-12

@@ -106,11 +106,22 @@ def test_ams_diagnostic_periodic_vs_stationary():
                           np.full(verdicts[0].partial_averages.size, 0.5))
 
 
-def test_ams_diagnostic_induced_ensemble():
+def test_ams_diagnostic_induced_exact():
     induced = InducedMeasure(FAIR, WF)
-    verdict = ams_diagnostic(induced, [[0]], 1000, seed=11)[0]
-    assert verdict.stderr2 is not None
-    assert abs(verdict.final - 2 / 3) < 0.02 + 3 * verdict.stderr2
+    verdict = ams_diagnostic(induced, [[0]], 1000)[0]
+    assert abs(verdict.final - 2 / 3) <= 1 / 1000
+
+
+def test_ams_periodic_codebook_alternates_exactly():
+    # {00, 10} over a fair coin: every even output position holds a codeword's
+    # first symbol (0 with probability 1/2), every odd one a 0; the output is
+    # AMS with Cesaro limit 3/4 but not stationary
+    induced = InducedMeasure(FAIR, WordFunction(2, 2, ((0, 0), (1, 0))))
+    steps = induced.shifted_cylinder_probability([0], np.arange(50))
+    assert steps.tolist() == [0.5, 1.0] * 25
+    cps = default_checkpoints(10**5)
+    verdict = ams_diagnostic(induced, [[0]], 10**5, checkpoints=cps)[0]
+    assert np.all(np.abs(verdict.partial_averages - 0.75) <= 1.0 / cps)
 
 
 def test_ams_diagnostic_horizon_guard():

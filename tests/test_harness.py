@@ -53,6 +53,42 @@ def test_bad_codeword_rejected():
         })
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"casez": 3}, "params.casez: not a parameter"),
+    ({"pairs": "x"}, "params.pairs: expected an integer"),
+    ({"pairs": True}, "params.pairs: expected an integer"),
+    ({"pairs": -3}, "params.pairs: must be >= 1"),
+    ({"max_block": 0}, "params.max_block: must be >= 1"),
+])
+def test_bad_params_rejected_with_field_name(tmp_path, capsys, params, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": "dp-oracle", "seed": 0, "params": params,
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_min_within_may_be_zero():
+    cfg = resolve_config({"experiment": "aep-prefix-free", "seed": 0,
+                          "params": {"min_within": 0}})
+    assert cfg.params == {"block_cap": 14, "min_within": 0}
+    with pytest.raises(ConfigError, match="params.min_within: must be >= 0"):
+        resolve_config({"experiment": "aep-prefix-free", "seed": 0,
+                        "params": {"min_within": -1}})
+
+
+def test_cli_internal_fault_exit_code(monkeypatch, capsys):
+    from wordsource import cli
+
+    def fault(args):
+        raise ArithmeticError("log probability 0.5 exceeds 0 beyond numerical slack")
+
+    monkeypatch.setattr(cli, "cmd_check_prefix", fault)
+    assert main(["check-prefix", "--codebook", CODEBOOK]) == 4
+    assert "internal error: ArithmeticError: log probability 0.5" in capsys.readouterr().err
+
+
 def test_nonpositive_tolerance_rejected():
     with pytest.raises(ConfigError, match="tolerances"):
         resolve_config({"experiment": "bellow", "seed": 0,
@@ -299,7 +335,7 @@ def test_cli_ams_check_source_and_induced(tmp_path, capsys):
                  "--horizon", "2000"]) == 0
     assert "converged True" in capsys.readouterr().out
     assert main(["ams-check", "--model", MODEL, "--codebook", CODEBOOK,
-                 "--cylinder", "0", "--horizon", "500", "--seed", "2",
+                 "--cylinder", "0", "--horizon", "500",
                  "--out", str(tmp_path / "ams.csv")]) == 0
     out = capsys.readouterr().out
     assert "cylinder 0" in out

@@ -116,13 +116,16 @@ def cmd_induced_prob(args):
     return EXIT_PASS
 
 
-def cmd_entropy_trace(args):
+def _measure(args):
+    """The ``--model``, or its induced measure when ``--codebook`` is given."""
     model = model_from_config(_json_arg(args.model))
     if args.codebook:
-        wf = word_function_from_config(_json_arg(args.codebook))
-        measure = InducedMeasure(model, wf)
-    else:
-        measure = model
+        return InducedMeasure(model, word_function_from_config(_json_arg(args.codebook)))
+    return model
+
+
+def cmd_entropy_trace(args):
+    measure = _measure(args)
     path = measure.sample_path(args.horizon, args.seed)
     if args.checkpoints:
         cps = [int(c) for c in args.checkpoints.split(",")]
@@ -194,12 +197,7 @@ def cmd_conservation(args):
 
 
 def cmd_ams_check(args):
-    model = model_from_config(_json_arg(args.model))
-    if args.codebook:
-        wf = word_function_from_config(_json_arg(args.codebook))
-        measure = InducedMeasure(model, wf)
-    else:
-        measure = model
+    measure = _measure(args)
     cylinders = [_symbols_arg(c) for c in args.cylinder]
     verdicts = ams_diagnostic(measure, cylinders, args.horizon)
     rows = []
@@ -214,16 +212,9 @@ def cmd_ams_check(args):
 
 
 def cmd_ergodic_check(args):
-    model = model_from_config(_json_arg(args.model))
-    if args.codebook:
-        wf = word_function_from_config(_json_arg(args.codebook))
-        measure = InducedMeasure(model, wf)
-        alphabet = wf.output_alphabet_size
-    else:
-        measure = model
-        alphabet = model.alphabet_size
+    measure = _measure(args)
     pattern = _symbols_arg(args.pattern) if args.pattern else [0]
-    g = CylinderFunction.indicator(alphabet, pattern)
+    g = CylinderFunction.indicator(measure.alphabet_size, pattern)
     sr = ergodicity_spread(measure, g, args.paths, args.horizon, args.seed)
     print(f"paths: {args.paths}")
     print(f"spread: {sr.spread!r}")

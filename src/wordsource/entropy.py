@@ -28,7 +28,10 @@ entropy-rate / expected-codeword-length) are built on the same scanner. A
 source model's own law mu is the identity-codebook case, so its prefix scans
 (``SourceModel.prefix_scanner``) run on this kernel too. Shifted cylinder
 probabilities q(T^-i [b]) = (start T^i) . r_b, for sources too, step the
-same chain's dense transition matrix.
+same chain's dense transition matrix. A measure builds its chain once, on
+first use, as one state layout over (component, a, k) that both the step
+tables and the dense matrix are read from; a source model keeps its
+identity-codebook measure, so its chain is built once per model.
 """
 
 from __future__ import annotations
@@ -61,64 +64,89 @@ from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_
 DEFAULT_ENUMERATION_CELLS = 2**20
 
 
-def _chain(model, word_function):
-    """States and moves of one IID or Markov component's chain.
+def _step(sources, states):
+    """One scanner step from the states whose moves are ``sources`` to ``states``.
 
-    The states are the pairs (a, k) in input-symbol, then offset, order;
-    state (a, k) emits ``word_function.codewords[a][k]``. ``moves(a, k)``
-    lists the (state, probability) pairs one step reaches, with (-1, 0)
-    standing for the fresh start.
+    Returns (width, targets, leaks): new[i] is the sum of v[j] * w over
+    (j, w) in the target entry (i, terms), and a leak entry (j, w) is the
+    mass source j sends to states outside ``states``.
     """
-    codewords = word_function.codewords
-    if isinstance(model, MarkovSource):
-        rows, first = model.matrix.tolist(), model.initial.tolist()
-    else:
-        first = model.distribution.tolist()
-        rows = [first] * len(codewords)
-    states = [(a, k) for a, cw in enumerate(codewords) for k in range(len(cw))]
+    targets = {t: [] for t in states}
+    leaks = []
+    for j, reach in enumerate(sources):
+        lost = []
+        for t, p in reach:
+            if t in targets:
+                targets[t].append((j, p))
+            else:
+                lost.append(p)
+        if lost:
+            leaks.append((j, math.fsum(lost)))
+    return (len(states), tuple((i, tuple(targets[t])) for i, t in enumerate(states) if targets[t]),
+            tuple(leaks))
 
-    def moves(a, k):
-        if a >= 0 and k + 1 < len(codewords[a]):
-            return [((a, k + 1), 1.0)]
-        return [((t, 0), p) for t, p in enumerate(first if a < 0 else rows[a]) if p > 0.0]
 
-    return states, moves
+class _Chain:
+    """The output chain of one measure, and the forms its users read.
 
+    The states are (c, a, k) for every component c of positive weight, in
+    component, input-symbol, then offset order, numbered from 0; state s
+    emits ``emits[s]``, and ``moves[s]`` lists the (state, probability)
+    pairs one step reaches. ``starts`` holds (weight, log weight, moves of
+    the fresh start) per component.
 
-def _chain_steps(model, word_function):
-    """Forward-step tables of one IID or Markov component's chain.
-
-    ``steps[p][b]`` maps a forward vector over the states emitting p (for
-    p = B, the single fresh-start state) to one over the states emitting b,
-    as (width, targets, leaks): new[i] is the sum of v[j] * w over (j, w) in
-    the target entry (i, terms), and a leak entry (j, w) is the mass state j
-    sends to states that emit another symbol.
+    ``tables`` holds (log weight, steps) per component for the prefix
+    scanner: ``steps[p][b]`` is the step from the component's states
+    emitting p (for p = B, its fresh start) to those emitting b.
     """
-    states, moves = _chain(model, word_function)
-    codewords = word_function.codewords
-    emitting = [[(a, k) for a, k in states if codewords[a][k] == b]
-                for b in range(word_function.output_alphabet_size)]
-    position = [{state: i for i, state in enumerate(states)} for states in emitting]
 
-    steps = []
-    for sources in emitting + [[(-1, 0)]]:
-        row = []
-        for states, where in zip(emitting, position):
-            targets = [[] for _ in states]
-            leaks = []
-            for j, (a, k) in enumerate(sources):
-                lost = []
-                for state, p in moves(a, k):
-                    if state in where:
-                        targets[where[state]].append((j, p))
-                    else:
-                        lost.append(p)
-                if lost:
-                    leaks.append((j, math.fsum(lost)))
-            row.append((len(states), tuple((i, tuple(t)) for i, t in enumerate(targets) if t),
-                        tuple(leaks)))
-        steps.append(tuple(row))
-    return tuple(steps)
+    def __init__(self, model, word_function):
+        if isinstance(model, MixtureSource):
+            parts = zip(model.weights.tolist(), model._log_weights.tolist(), model.components)
+        else:
+            parts = [(1.0, 0.0, model)]
+        codewords = word_function.codewords
+        B = word_function.output_alphabet_size
+        emits, moves, self.starts, tables = [], [], [], []
+        self.emits, self.moves = emits, moves
+        for weight, log_weight, comp in parts:
+            if not weight > 0.0:
+                continue
+            if isinstance(comp, MarkovSource):
+                rows, first = comp.matrix.tolist(), comp.initial.tolist()
+            else:
+                first = comp.distribution.tolist()
+                rows = [first] * len(codewords)
+            low = len(emits)
+            heads = [low + sum(map(len, codewords[:a])) for a in range(len(codewords))]
+            for a, cw in enumerate(codewords):
+                emits += cw
+                moves += [[(heads[a] + k, 1.0)] for k in range(1, len(cw))]
+                moves.append([(heads[t], p) for t, p in enumerate(rows[a]) if p > 0.0])
+            fresh = [(heads[t], p) for t, p in enumerate(first) if p > 0.0]
+            self.starts.append((weight, log_weight, fresh))
+            emitting = [[s for s in range(low, len(emits)) if emits[s] == b] for b in range(B)]
+            sources = [[moves[s] for s in states] for states in emitting] + [[fresh]]
+            tables.append((log_weight, tuple(tuple(_step(reach, states) for states in emitting)
+                                             for reach in sources)))
+        self.tables = tuple(tables)
+
+    @cached_property
+    def dense(self):
+        """(T, T transposed, start, emitted symbols) as arrays over all states.
+
+        A mixture's T is block-diagonal, and the start vector holds each
+        component's fresh start times its weight.
+        """
+        matrix = np.zeros((len(self.emits), len(self.emits)))
+        for s, reach in enumerate(self.moves):
+            for t, p in reach:
+                matrix[s, t] = p
+        start = np.zeros(len(self.emits))
+        for weight, _, fresh in self.starts:
+            for t, p in fresh:
+                start[t] = weight * p
+        return matrix, np.ascontiguousarray(matrix.T), start, np.array(self.emits)
 
 
 class _ChainScanner:
@@ -192,47 +220,13 @@ class InducedMeasure:
         return f"{self.model.model_id}*{self.word_function.config_dict()['code']}"
 
     @cached_property
-    def _components(self):
-        """(weight, log weight, model) per component with positive weight."""
-        model = self.model
-        if isinstance(model, MixtureSource):
-            parts = zip(model.weights.tolist(), model._log_weights.tolist(), model.components)
-        else:
-            parts = [(1.0, 0.0, model)]
-        return [part for part in parts if part[0] > 0.0]
-
-    @cached_property
-    def _chains(self):
-        """(log weight, step tables) per component, for the prefix scanner."""
-        return tuple((lw, _chain_steps(comp, self.word_function))
-                     for _, lw, comp in self._components)
-
-    @cached_property
-    def _matrix(self):
-        """(T, T transposed, start, emitted symbols) over the states (c, a, k).
-
-        c indexes the components, so a mixture's T is block-diagonal, and the
-        start vector holds each component's fresh start times its weight.
-        """
-        chains = [(w, *_chain(comp, self.word_function)) for w, _, comp in self._components]
-        states = [(c, a, k) for c, (_, each, _) in enumerate(chains) for a, k in each]
-        index = {state: i for i, state in enumerate(states)}
-
-        def row(c, a, k, weight=1.0):
-            out = np.zeros(len(states))
-            for (t, tk), p in chains[c][2](a, k):
-                out[index[c, t, tk]] = weight * p
-            return out
-
-        matrix = np.array([row(*state) for state in states])
-        start = sum(row(c, -1, 0, w) for c, (w, *_) in enumerate(chains))
-        emits = np.array([self.word_function.codewords[a][k] for _, a, k in states])
-        return matrix, np.ascontiguousarray(matrix.T), start, emits
+    def _chain(self):
+        return _Chain(self.model, self.word_function)
 
     def prefix_scanner(self):
-        chains = self._chains
-        return _ChainScanner(chains, self.alphabet_size, [[1.0] for _ in chains],
-                             [0.0] * len(chains))
+        tables = self._chain.tables
+        return _ChainScanner(tables, self.alphabet_size, [[1.0] for _ in tables],
+                             [0.0] * len(tables))
 
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""
@@ -247,7 +241,7 @@ class InducedMeasure:
                 return NEG_INF
         return lp
 
-    def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
+    def shifted_cylinder_probability(self, symbols, shift):
         """q(T^-i [b]): the probability that b occupies positions i+1 .. i+n.
 
         ``shift`` is one shift i, answered with a float, or a 1-D array of
@@ -270,9 +264,9 @@ class InducedMeasure:
         if flat.size and flat.min() < 0:
             raise DomainError("shift must be >= 0")
         top = int(flat.max(initial=0))
-        if top > max_steps:
-            raise RangeError(f"shift {top} exceeds the cap of {max_steps} steps")
-        matrix, matrix_t, start, emits = self._matrix
+        if top > DEFAULT_MAX_SHIFT_STEPS:
+            raise RangeError(f"shift {top} exceeds the cap of {DEFAULT_MAX_SHIFT_STEPS} steps")
+        matrix, matrix_t, start, emits = self._chain.dense
         r = (emits == arr[-1]) * 1.0
         for b in arr[-2::-1].tolist():
             r = (emits == b) * (matrix * r).sum(axis=1)
@@ -314,7 +308,7 @@ def induced_cylinder_log_probability(model, word_function, symbols):
     return InducedMeasure(model, word_function).cylinder_log_probability(symbols)
 
 
-def block_log_probability_table(measure, n, max_cells=DEFAULT_ENUMERATION_CELLS):
+def block_log_probability_table(measure, n):
     """Log probabilities of every length-n cylinder, in lexicographic order.
 
     Shares prefix work across tuples by walking the output tree with cloned
@@ -324,9 +318,9 @@ def block_log_probability_table(measure, n, max_cells=DEFAULT_ENUMERATION_CELLS)
         raise DomainError("block length must be >= 1")
     B = measure.alphabet_size
     cells = B**n
-    if cells > max_cells:
+    if cells > DEFAULT_ENUMERATION_CELLS:
         raise ResourceError(
-            f"block table needs {cells} cylinders, over the cap of {max_cells}"
+            f"block table needs {cells} cylinders, over the cap of {DEFAULT_ENUMERATION_CELLS}"
         )
     out = np.full(cells, NEG_INF)
     stack = [(measure.prefix_scanner(), 0, 0)]
@@ -345,9 +339,9 @@ def block_log_probability_table(measure, n, max_cells=DEFAULT_ENUMERATION_CELLS)
     return out
 
 
-def joint_entropy_exact(measure, n, max_cells=DEFAULT_ENUMERATION_CELLS):
+def joint_entropy_exact(measure, n):
     """H_n in bits by full enumeration; zero-probability cylinders add 0."""
-    lps = block_log_probability_table(measure, n, max_cells=max_cells)
+    lps = block_log_probability_table(measure, n)
     finite = lps[lps > NEG_INF]
     return float(0.0 - (np.exp(finite) * finite).sum() / LN2)
 
@@ -516,9 +510,10 @@ class ConservationReport:
     """Entropy-conservation check: integral bound vs measured output rate.
 
     integral_bound = sum_c weight_c * entropy_rate_c / E_c[codeword length];
-    empirical_entropy_rate = H_n(q) - H_{n-1}(q) at the enumeration cap. The
-    empirical value never exceeds the bound beyond tolerance, with equality
-    (within tolerance) for prefix-free codebooks.
+    empirical_entropy_rate = H_n(q) - H_{n-1}(q) at the enumeration cap n,
+    and block_entropies holds H_1 .. H_n. The empirical value never exceeds
+    the bound beyond tolerance, with equality (within tolerance) for
+    prefix-free codebooks.
     """
 
     integral_bound: float
@@ -526,22 +521,22 @@ class ConservationReport:
     block_cap: int
     prefix_free: bool
     per_component: tuple
+    block_entropies: tuple
 
 
-def conservation_report(model, word_function, block_cap=14,
-                        max_cells=DEFAULT_ENUMERATION_CELLS):
+def conservation_report(model, word_function, block_cap=14):
     """Compare the decomposition-integrated bound with exact block entropies."""
     if block_cap < 2:
         raise DomainError("block cap must be >= 2")
     bounds = component_bounds(model, word_function)
     integral = math.fsum(cb.weight * cb.bound for cb in bounds)
     induced = InducedMeasure(model, word_function)
-    h_hi = joint_entropy_exact(induced, block_cap, max_cells=max_cells)
-    h_lo = joint_entropy_exact(induced, block_cap - 1, max_cells=max_cells)
+    entropies = tuple(joint_entropy_exact(induced, n) for n in range(1, block_cap + 1))
     return ConservationReport(
         integral_bound=integral,
-        empirical_entropy_rate=h_hi - h_lo,
+        empirical_entropy_rate=entropies[-1] - entropies[-2],
         block_cap=block_cap,
         prefix_free=bool(is_prefix_free(word_function)),
         per_component=bounds,
+        block_entropies=entropies,
     )

@@ -21,7 +21,6 @@ from .entropy import (
     component_bounds,
     conservation_report,
     induced_cylinder_log_probability,
-    joint_entropy_exact,
 )
 from .ergodic import (
     CylinderFunction,
@@ -298,11 +297,9 @@ def run_conservation(cfg):
     cap = int(cfg.params["block_cap"])
     tol = float(cfg.tolerances["conservation"])
     report = conservation_report(model, wf, block_cap=cap)
-    induced = InducedMeasure(model, wf)
     rows = []
     prev = None
-    for n in range(1, cap + 1):
-        h = joint_entropy_exact(induced, n)
+    for n, h in enumerate(report.block_entropies, start=1):
         rows.append((n, repr(h), repr(h - prev) if prev is not None else ""))
         prev = h
     gap = report.empirical_entropy_rate - report.integral_bound
@@ -338,12 +335,12 @@ def run_ams_markov(cfg):
     horizon = cfg.horizon
     cyl = [0]
     step_count = int(p["per_step_count"])
-    per_step = periodic.shifted_cylinder_probability(cyl, np.arange(step_count)).tolist()
+    trace = periodic.shifted_cylinder_probability(cyl, np.arange(max(step_count, horizon)))
+    per_step = trace[:step_count].tolist()
     expected_alternation = [1.0 if i % 2 == 0 else 0.0 for i in range(step_count)]
     alternates = per_step == expected_alternation
     cps = default_checkpoints(horizon)
-    per_trace = periodic.shifted_cylinder_probability(cyl, np.arange(horizon))
-    cesaro_periodic = np.cumsum(per_trace)[cps - 1] / cps
+    cesaro_periodic = np.cumsum(trace[:horizon])[cps - 1] / cps
     periodic_ok = bool(np.all(np.abs(cesaro_periodic - 0.5) <= 1.0 / cps))
     aper_final = aperiodic.cesaro_cylinder_average(cyl, horizon)
     aper_tol = float(cfg.tolerances["cesaro"])

@@ -212,14 +212,16 @@ def resolve_config(raw):
         )
     defaults = EXPERIMENT_DEFAULTS[name]
     merged = {**defaults, **{k: v for k, v in raw.items() if k != "experiment"}}
-    for key in ("tolerances", "params"):
-        if not isinstance(raw.get(key, {}), dict):
+    for key, kind in (("tolerances", "tolerance"), ("params", "parameter")):
+        given = raw.get(key, {})
+        if not isinstance(given, dict):
             raise ConfigError(f"{key}: expected an object")
-        merged[key] = {**defaults[key], **raw.get(key, {})}
+        for field_name in given:
+            if field_name not in defaults[key]:
+                raise ConfigError(f"{key}.{field_name}: not a {kind} of {name}; "
+                                  f"valid keys: {sorted(defaults[key])}")
+        merged[key] = {**defaults[key], **given}
     for key, value in raw.get("params", {}).items():
-        if key not in defaults["params"]:
-            raise ConfigError(f"params.{key}: not a parameter of {name}; "
-                              f"valid keys: {sorted(defaults['params'])}")
         default = defaults["params"][key]
         if isinstance(default, int) and not isinstance(default, bool):
             # every integer parameter counts something; min_within may be 0

@@ -46,12 +46,3 @@ def brute_force_induced_log_table(model, word_function, n):
             table[code] = math.log(math.fsum(probs))
     return table
 
-
-def brute_force_induced_log_probability(model, word_function, symbols):
-    """log q(b^n) for one output tuple, by the same enumeration."""
-    n = len(symbols)
-    B = word_function.output_alphabet_size
-    code = 0
-    for s in symbols:
-        code = code * B + int(s)
-    return float(brute_force_induced_log_table(model, word_function, n)[code])

@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -247,24 +248,25 @@ class SourceModel:
         """Distribution of the first symbol."""
         raise NotImplementedError
 
-    def shifted_cylinder_probability(self, symbols, shift, max_steps=DEFAULT_MAX_SHIFT_STEPS):
+    def shifted_cylinder_probability(self, symbols, shift):
         """mu(T^-i [a^n]) for one shift i or a 1-D array of shifts.
 
         mu is the induced law under the identity codebook, so this is the
         induced measure's exact chain computation.
         """
-        return self._identity_measure().shifted_cylinder_probability(symbols, shift, max_steps)
+        return self._identity_measure.shifted_cylinder_probability(symbols, shift)
 
-    def cesaro_cylinder_average(self, symbols, horizon, max_steps=DEFAULT_MAX_SHIFT_STEPS):
+    def cesaro_cylinder_average(self, symbols, horizon):
         """(1/n) sum_{i<n} mu(T^-i [a^n]); convergence over n is the AMS diagnostic."""
         if horizon < 1:
             raise DomainError("horizon must be >= 1")
-        if horizon > max_steps:
-            raise RangeError(f"horizon {horizon} exceeds the cap of {max_steps} steps")
+        if horizon > DEFAULT_MAX_SHIFT_STEPS:
+            raise RangeError(
+                f"horizon {horizon} exceeds the cap of {DEFAULT_MAX_SHIFT_STEPS} steps")
         if self.is_stationary():
             # Shifted probabilities are all identical; the mean is exact.
             return self.shifted_cylinder_probability(symbols, 0)
-        trace = self.shifted_cylinder_probability(symbols, np.arange(horizon), max_steps)
+        trace = self.shifted_cylinder_probability(symbols, np.arange(horizon))
         return math.fsum(trace) / horizon
 
     def is_stationary(self):
@@ -292,8 +294,9 @@ class SourceModel:
         """Entropy rate in bits per symbol (mixtures: component-weighted average)."""
         raise NotImplementedError
 
+    @cached_property
     def _identity_measure(self):
-        """This model under the identity codebook, whose induced law is mu."""
+        """This model under the identity codebook (induced law mu), built once."""
         from .entropy import InducedMeasure  # entropy imports this module
         from .wordcode import WordFunction
 
@@ -305,7 +308,7 @@ class SourceModel:
 
         It runs on the chain kernel of the identity-codebook induced measure.
         """
-        return self._identity_measure().prefix_scanner()
+        return self._identity_measure.prefix_scanner()
 
 
 class IIDSource(SourceModel):

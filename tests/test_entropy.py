@@ -1,5 +1,6 @@
 """Induced measures: DP vs enumeration, block entropies, traces, AEP runs."""
 
+import hashlib
 import itertools
 import math
 
@@ -139,8 +140,8 @@ def test_shifted_probability_stays_in_unit_interval():
         induced = InducedMeasure(model, WF_ALL_ZERO)
         assert induced.shifted_cylinder_probability([0], np.arange(21)).tolist() == [1.0] * 21
     # a chain whose mass exceeds 1 beyond rounding is an accounting bug
-    matrix, matrix_t, start, emits = induced._matrix
-    induced.__dict__["_matrix"] = (matrix, matrix_t, 2.0 * start, emits)
+    matrix, matrix_t, start, emits = induced._chain.dense
+    induced._chain.__dict__["dense"] = (matrix, matrix_t, 2.0 * start, emits)
     with pytest.raises(ArithmeticError):
         induced.shifted_cylinder_probability([0], 3)
 
@@ -413,6 +414,27 @@ def test_kernel_zero_weight_mixture_component():
     mix = MixtureSource([1.0, 0.0], [IIDSource([0.5, 0.5]), IIDSource([0.9, 0.1])])
     for seed in range(3):
         _assert_prefix_free_identity(mix, WF, FAIR.sample_path(500, seed).symbols)
+
+
+def test_kernel_floats_pinned():
+    # sha256 of the float64 bytes of the scan, the block table and the shift
+    # path: a change to the chain's layout or step tables must not move a bit
+    three = MarkovSource([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+                         [0.2, 0.5, 0.3])
+    markov_mix = MixtureSource([0.3, 0.7], [MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0]),
+                                            FAIR])
+    outputs = [
+        (block_log_probability_table(InducedMeasure(MIX, WF), 10),
+         "a8dd984092f145d376ef0969725777eb7a69ff2a1daad7aafef2905a0e7bfaf2"),
+        # {0, 01, 210} is not prefix-free
+        (block_log_probability_table(
+            InducedMeasure(three, WordFunction(3, 3, ((0,), (0, 1), (2, 1, 0)))), 6),
+         "e5f150809b3af91da73755d05cd1e0d31932e36c944cafb8b86e32364ddd4754"),
+        (InducedMeasure(markov_mix, WF).shifted_cylinder_probability([0, 1, 0], np.arange(500)),
+         "6d53c8bcc0d5fcfe9e3a6df1f340596fbb5827dcdd1217009b5af1a971dd0b9e"),
+    ]
+    for values, digest in outputs:
+        assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
 
 # -- property test: chain kernel against the brute-force oracle -----------------

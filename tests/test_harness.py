@@ -69,6 +69,17 @@ def test_bad_params_rejected_with_field_name(tmp_path, capsys, params, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_tolerance_rejected_with_field_name(tmp_path, capsys):
+    # a misspelt tolerance would otherwise leave the real one at its default
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": "aep-prefix-free", "seed": 0,
+                               "tolerances": {"equalty": 0.5},
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "tolerances.equalty: not a tolerance of aep-prefix-free" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_min_within_may_be_zero():
     cfg = resolve_config({"experiment": "aep-prefix-free", "seed": 0,
                           "params": {"min_within": 0}})

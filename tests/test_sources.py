@@ -162,6 +162,14 @@ def test_mixture_paths_concentrate_on_one_component():
     assert hits >= 99
 
 
+def test_source_chain_built_once():
+    # prefix scans and shifted probabilities share one identity-codebook chain
+    model = MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])
+    chains = model.prefix_scanner().chains
+    model.shifted_cylinder_probability([0], 3)
+    assert model.prefix_scanner().chains is chains
+
+
 # -- shifted probabilities and Cesaro averages --------------------------------
 
 def test_shifted_iid_invariant():

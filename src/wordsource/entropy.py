@@ -22,9 +22,11 @@ that moved to states emitting another symbol, or log(kept) once leak reaches
 component order. Every sum runs in a fixed order, so repeated runs are bit
 identical.
 
-Block distributions, joint entropies H_n, per-sequence sample-entropy traces
-and the AEP experiment (per-path sample entropy against the component bound
-entropy-rate / expected-codeword-length) are built on the same scanner. A
+One forward scan serves cylinder probabilities, sample-entropy traces and the
+AEP experiment (per-path sample entropy against the component bound
+entropy-rate / expected-codeword-length). A step moves only the components'
+vectors and scales; they are combined into log q only where it is read: at
+a scan's checkpoints, or at the leaves of the block-table walk behind H_n. A
 source model's own law mu is the identity-codebook case, so its prefix scans
 (``SourceModel.prefix_scanner``) run on this kernel too. Shifted cylinder
 probabilities q(T^-i [b]) = (start T^i) . r_b, for sources too, step the
@@ -167,12 +169,13 @@ class _ChainScanner:
         )
 
     def advance(self, symbol):
+        """Step every live component on ``symbol``; False once none is left."""
         prev = self.prev
         self.prev = symbol
         vectors = self.vectors
         scales = self.scales
-        terms = []
-        for c, (log_weight, steps) in enumerate(self.chains):
+        alive = False
+        for c, (_, steps) in enumerate(self.chains):
             v = vectors[c]
             if v is None:
                 continue
@@ -191,13 +194,31 @@ class _ChainScanner:
             leak = 0.0
             for j, w in leaks:
                 leak += v[j] * w
-            scale = scales[c] + (math.log1p(-leak) if leak < 0.5 else math.log(kept))
-            scales[c] = scale
+            scales[c] += math.log1p(-leak) if leak < 0.5 else math.log(kept)
             for i in range(width):
                 new[i] /= kept
             vectors[c] = new
-            terms.append(log_weight + scale)
+            alive = True
+        return alive
+
+    def log_probability(self):
+        """log q of the prefix read so far: the live components, combined in order."""
+        terms = [log_weight + scale for (log_weight, _), v, scale
+                 in zip(self.chains, self.vectors, self.scales) if v is not None]
         return _clamp_log_prob(terms[0] if len(terms) == 1 else _logsumexp(terms))
+
+
+def _scan(measure, symbols, checkpoints):
+    """log q at each sorted, distinct 1-based checkpoint the path reaches, and the
+    1-based position where it left the support (None if it never did)."""
+    scanner = measure.prefix_scanner()
+    lps = []
+    for pos, s in enumerate(symbols[:checkpoints[-1]], 1):
+        if not scanner.advance(s):
+            return lps, pos
+        if pos == checkpoints[len(lps)]:
+            lps.append(scanner.log_probability())
+    return lps, None
 
 
 class InducedMeasure:
@@ -233,13 +254,8 @@ class InducedMeasure:
         arr = as_symbols(symbols, self.alphabet_size)
         if arr.size == 0:
             raise DomainError("cylinder tuple must be nonempty")
-        scanner = self.prefix_scanner()
-        lp = NEG_INF
-        for s in arr.tolist():
-            lp = scanner.advance(s)
-            if lp == NEG_INF:
-                return NEG_INF
-        return lp
+        lps, _ = _scan(self, arr.tolist(), [arr.size])
+        return lps[0] if lps else NEG_INF
 
     def shifted_cylinder_probability(self, symbols, shift):
         """q(T^-i [b]): the probability that b occupies positions i+1 .. i+n.
@@ -329,13 +345,13 @@ def block_log_probability_table(measure, n):
         for b in range(B):
             # the original may only be advanced once all clones are taken
             child = scanner.clone() if b < B - 1 else scanner
-            lp = child.advance(b)
+            if not child.advance(b):
+                continue  # a dead prefix keeps the prefilled -inf for its whole subtree
             child_idx = idx * B + b
             if depth + 1 == n:
-                out[child_idx] = lp
-            elif lp > NEG_INF:
+                out[child_idx] = child.log_probability()
+            else:
                 stack.append((child, depth + 1, child_idx))
-            # dead prefixes keep the prefilled -inf for the whole subtree
     return out
 
 
@@ -364,40 +380,22 @@ class EntropyTrace:
 
 
 def sample_entropy_trace(measure, symbols, checkpoints, tol=1e-2):
-    """Evaluate -(1/n) log2 rho([w^n]) at each checkpoint, incrementally."""
+    """Evaluate -(1/n) log2 rho([w^n]) at each distinct checkpoint, in one scan."""
     arr = as_symbols(symbols, measure.alphabet_size)
-    cps = sorted(int(c) for c in checkpoints)
+    cps = sorted({int(c) for c in checkpoints})
     if not cps or cps[0] < 1:
         raise DomainError("checkpoints must be positive")
     if cps[-1] > arr.size:
         raise DomainError(
             f"max checkpoint {cps[-1]} exceeds the sequence length {arr.size}"
         )
-    scanner = measure.prefix_scanner()
-    horizons = []
-    values = []
-    left_at = None
-    cp_iter = iter(cps)
-    next_cp = next(cp_iter)
-    for pos in range(cps[-1]):
-        lp = scanner.advance(int(arr[pos]))
-        if lp == NEG_INF:
-            left_at = pos + 1
-            break
-        if pos + 1 == next_cp:
-            horizons.append(pos + 1)
-            values.append((0.0 - lp) / ((pos + 1) * LN2))
-            try:
-                next_cp = next(cp_iter)
-            except StopIteration:
-                break
-    values_arr = np.array(values, dtype=float)
-    spread = _trailing_spread(values)
+    lps, left_at = _scan(measure, arr.tolist(), cps)
+    values = np.array([(0.0 - lp) / (n * LN2) for n, lp in zip(cps, lps)], dtype=float)
     return EntropyTrace(
-        horizons=np.array(horizons, dtype=np.int64),
-        values=values_arr,
-        limit_estimate=float(values_arr[-1]) if values else float("nan"),
-        converged=left_at is None and bool(values) and spread < tol,
+        horizons=np.array(cps[:len(lps)], dtype=np.int64),
+        values=values,
+        limit_estimate=float(values[-1]) if lps else float("nan"),
+        converged=left_at is None and bool(lps) and _trailing_spread(values) < tol,
         tolerance=tol,
         left_support_at=left_at,
     )
@@ -472,14 +470,10 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
         comp_idx = ps.component_index if ps.component_index is not None else 0
         enc = encode_stream(word_function, ps.symbols)
         zeta_n = enc.total_length
-        scanner = induced.prefix_scanner()
-        lp = NEG_INF
-        for s in enc.output.tolist():
-            lp = scanner.advance(s)
-            if lp == NEG_INF:
-                break
-        if lp == NEG_INF:
+        lps, left_at = _scan(induced, enc.output.tolist(), [zeta_n])
+        if left_at is not None:
             raise DomainError("encoded path left the induced support; inconsistent DP")
+        lp = lps[0]
         # 0.0 - lp, not -lp: a path of probability 1 gets +0.0, never -0.0
         empirical = (0.0 - lp) / (zeta_n * LN2)
         source_lp = model.cylinder_log_probability(ps.symbols)

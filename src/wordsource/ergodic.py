@@ -37,6 +37,16 @@ def _trailing_spread(values):
     return float(max(tail) - min(tail))
 
 
+def _pattern_code(pattern, alphabet_size):
+    """Base-|A| code of a pattern of symbols."""
+    code = 0
+    for s in pattern:
+        if s < 0 or s >= alphabet_size:
+            raise DomainError(f"pattern symbol {s} outside the alphabet")
+        code = code * alphabet_size + s
+    return code
+
+
 @dataclass(frozen=True)
 class CylinderFunction:
     """g(w) = table[w_1 .. w_k], a bounded function of the first k symbols."""
@@ -65,12 +75,7 @@ class CylinderFunction:
         pattern = tuple(int(s) for s in pattern)
         order = len(pattern)
         table = np.zeros(alphabet_size**order)
-        code = 0
-        for s in pattern:
-            if s < 0 or s >= alphabet_size:
-                raise DomainError(f"pattern symbol {s} outside the alphabet")
-            code = code * alphabet_size + s
-        table[code] = 1.0
+        table[_pattern_code(pattern, alphabet_size)] = 1.0
         return cls(alphabet_size=alphabet_size, order=order, table=table)
 
     @classmethod
@@ -211,12 +216,7 @@ class EmpiricalMeasure:
         order = len(pattern)
         if order < 1 or order > self.max_order:
             raise DomainError(f"pattern order must be in 1..{self.max_order}")
-        code = 0
-        for s in pattern:
-            if s < 0 or s >= self.alphabet_size:
-                raise DomainError(f"pattern symbol {s} outside the alphabet")
-            code = code * self.alphabet_size + s
-        return float(self.tables[order - 1][code])
+        return float(self.tables[order - 1][_pattern_code(pattern, self.alphabet_size)])
 
     def table(self, order):
         return self.tables[order - 1].copy()

@@ -195,6 +195,22 @@ def _require_int(value, path, minimum=None):
     return value
 
 
+def _check_spec(value, default, path):
+    """Build ``value`` if ``default`` is a model or codebook spec, or an object of models."""
+    if not isinstance(default, dict):
+        return
+    if "type" in default or "code" in default:
+        try:
+            (model_from_config if "type" in default else word_function_from_config)(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    elif default and all(isinstance(d, dict) and "type" in d for d in default.values()):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object of models")
+        for name, item in value.items():
+            _check_spec(item, FAIR_COIN, f"{path}.{name}")
+
+
 def resolve_config(raw):
     """Validate a raw config dict, fill defaults, and return ExperimentConfig.
 
@@ -226,6 +242,7 @@ def resolve_config(raw):
         if isinstance(default, int) and not isinstance(default, bool):
             # every integer parameter counts something; min_within may be 0
             _require_int(value, f"params.{key}", minimum=0 if key == "min_within" else 1)
+        _check_spec(value, default, f"params.{key}")
 
     seed = _require_int(merged.get("seed"), "seed", minimum=0)
     horizon = merged.get("horizon")
@@ -242,24 +259,15 @@ def resolve_config(raw):
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")
 
-    model = merged.get("model")
-    if model is not None:
-        try:
-            model_from_config(model)
-        except ConfigError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-    codebook = merged.get("codebook")
-    if codebook is not None:
-        try:
-            word_function_from_config(codebook)
-        except ConfigError as exc:
-            raise ConfigError(f"codebook: {exc}") from exc
+    for key, default in (("model", FAIR_COIN), ("codebook", CODE_PREFIX_FREE)):
+        if merged.get(key) is not None:
+            _check_spec(merged[key], default, key)
 
     return ExperimentConfig(
         experiment=name,
         seed=seed,
-        model=model,
-        codebook=codebook,
+        model=merged.get("model"),
+        codebook=merged.get("codebook"),
         horizon=horizon,
         paths=paths,
         tolerances=tolerances,

@@ -19,6 +19,7 @@ exists and is positive.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -91,14 +92,9 @@ class VariableLengthShiftSpec:
         if count > MAX_TABLE_SIZE:
             raise ResourceError(f"gamma table would need {count} entries")
         table = np.empty(count, dtype=np.int64)
-        for code in range(count):
-            window = []
-            c = code
-            for _ in range(lookahead):
-                window.append(c % alphabet_size)
-                c //= alphabet_size
-            window.reverse()
-            table[code] = int(fn(tuple(window)))
+        # product yields the windows in base-|A| code order
+        for code, window in enumerate(itertools.product(range(alphabet_size), repeat=lookahead)):
+            table[code] = int(fn(window))
         if max_shift is None:
             max_shift = int(table.max())
         return cls(alphabet_size=alphabet_size, lookahead=lookahead,
@@ -131,10 +127,8 @@ class VariableLengthShiftSpec:
             raise RangeError(
                 f"window needs {self.lookahead} symbols, got {arr.size}"
             )
-        code = 0
-        for s in arr[: self.lookahead]:
-            code = code * self.alphabet_size + int(s)
-        return int(self.table[code])
+        return int(self.table[_window_codes(arr[: self.lookahead], self.alphabet_size,
+                                            self.lookahead)[0]])
 
     def shift_values(self, symbols):
         """gamma at every position of ``symbols`` that has a full window."""

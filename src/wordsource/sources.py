@@ -306,7 +306,9 @@ class SourceModel:
     def prefix_scanner(self):
         """Incremental evaluator of log mu([w^n]) as symbols are appended.
 
-        It runs on the chain kernel of the identity-codebook induced measure.
+        It runs on the chain kernel of the identity-codebook induced measure:
+        ``advance(symbol)`` returns False once the prefix has probability 0,
+        and ``log_probability()`` reads log mu of the prefix so far.
         """
         return self._identity_measure.prefix_scanner()
 

@@ -1,8 +1,10 @@
 """Induced measures: DP vs enumeration, block entropies, traces, AEP runs."""
 
+import ast
 import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +122,8 @@ def test_monotone_cylinder_probabilities():
         scanner = induced.prefix_scanner()
         prev = 0.0
         for s in y:
-            lp = scanner.advance(int(s))
+            scanner.advance(int(s))
+            lp = scanner.log_probability()
             assert lp <= prev + 1e-12
             prev = lp
 
@@ -219,6 +222,11 @@ def test_trace_checkpoint_guards():
         sample_entropy_trace(FAIR, [0, 1], [3])
     with pytest.raises(DomainError):
         sample_entropy_trace(FAIR, [0, 1], [])
+    # a repeated checkpoint is read once, and the later ones are still reached
+    y = [0, 1, 1, 0, 1]
+    trace = sample_entropy_trace(FAIR, y, [2, 2, 3, 5])
+    assert trace.horizons.tolist() == [2, 3, 5]
+    assert np.array_equal(trace.values, sample_entropy_trace(FAIR, y, [2, 3, 5]).values)
 
 
 # -- AEP experiment ---------------------------------------------------------------
@@ -347,7 +355,8 @@ def test_scanner_clones_are_independent():
     scanner = induced.prefix_scanner()
     reference = []
     for s in y:
-        reference.append(scanner.advance(int(s)))
+        scanner.advance(int(s))
+        reference.append(scanner.log_probability())
 
     scanner = induced.prefix_scanner()
     for pos, s in enumerate(y):
@@ -355,7 +364,8 @@ def test_scanner_clones_are_independent():
         # drive the clone down a different branch before the original moves
         clone.advance(int(1 - s))
         clone.advance(0)
-        assert scanner.advance(int(s)) == reference[pos]
+        scanner.advance(int(s))
+        assert scanner.log_probability() == reference[pos]
 
 
 def test_induced_consistency_mixture():
@@ -417,27 +427,46 @@ def test_kernel_zero_weight_mixture_component():
 
 
 def test_kernel_floats_pinned():
-    # sha256 of the float64 bytes of the scan, the block table and the shift
-    # path: a change to the chain's layout or step tables must not move a bit
+    # sha256 of the float64 bytes of long path scans, the block tables and the
+    # shift path: a change to the chain's layout or step tables must not move a bit
     three = MarkovSource([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
                          [0.2, 0.5, 0.3])
+    # {0, 01, 210} is not prefix-free
+    wf3 = WordFunction(3, 3, ((0,), (0, 1), (2, 1, 0)))
+    path = InducedMeasure(MIX, WF).sample_path(10**4, seed=17).symbols
     markov_mix = MixtureSource([0.3, 0.7], [MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0]),
                                             FAIR])
     outputs = [
         (block_log_probability_table(InducedMeasure(MIX, WF), 10),
          "a8dd984092f145d376ef0969725777eb7a69ff2a1daad7aafef2905a0e7bfaf2"),
-        # {0, 01, 210} is not prefix-free
-        (block_log_probability_table(
-            InducedMeasure(three, WordFunction(3, 3, ((0,), (0, 1), (2, 1, 0)))), 6),
+        (block_log_probability_table(InducedMeasure(three, wf3), 6),
          "e5f150809b3af91da73755d05cd1e0d31932e36c944cafb8b86e32364ddd4754"),
         (InducedMeasure(markov_mix, WF).shifted_cylinder_probability([0, 1, 0], np.arange(500)),
          "6d53c8bcc0d5fcfe9e3a6df1f340596fbb5827dcdd1217009b5af1a971dd0b9e"),
+        (sample_entropy_trace(InducedMeasure(MIX, WF), path, range(1, 10**4 + 1)).values,
+         "44b3da4ea557a6e3f7e3425ce67083b44a1d2957b0546f26d94a66c4eb028741"),
+        (np.array([r.empirical_h for r in aep_experiment(three, wf3, 2000, 4, seed=7)]),
+         "062918c82435644c07a7212653a0dabdfde513f7207b61f8a169c9c672ad61b7"),
     ]
     for values, digest in outputs:
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
 
 # -- property test: chain kernel against the brute-force oracle -----------------
+
+def test_oracle_never_imports_the_kernel():
+    # the cross-check is independent only while the oracle shares no code
+    # with the chain kernel
+    source = Path(__file__).resolve().parent.parent / "src" / "wordsource" / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"entropy", "InducedMeasure"}
+
 
 def _weights(size, positive=False):
     # small integer weights, normalised; zeros give zero-probability symbols

@@ -69,6 +69,32 @@ def test_bad_params_rejected_with_field_name(tmp_path, capsys, params, message):
     assert not (tmp_path / "out").exists()
 
 
+BAD_IID = {"type": "iid", "dist": [0.5, 0.4]}
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("output-ergodicity", {"models": {"fair-coin": BAD_IID}}, "params.models.fair-coin: "),
+    ("output-ergodicity", {"models": [BAD_IID]}, "params.models: expected an object"),
+    ("output-ergodicity", {"mixture_model": {"type": "mixture", "weights": [1.0]}},
+     "params.mixture_model: mixture model config needs a 'components' field"),
+    ("ams-markov", {"periodic_model": {"type": "markov", "P": [[0, 1], [1, 0]]}},
+     "params.periodic_model: markov model config needs a 'init' field"),
+    ("ams-markov", {"aperiodic_model": BAD_IID}, "params.aperiodic_model: "),
+    ("log-identity", {"non_prefix_free_codebook": {"input_alphabet": 2, "output_alphabet": 2,
+                                                   "code": ["0", "12"]}},
+     "params.non_prefix_free_codebook: "),
+])
+def test_bad_model_params_rejected_before_any_work(tmp_path, capsys, experiment, params,
+                                                   message):
+    # model- and codebook-valued params are built when the config is resolved
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "seed": 0, "params": params,
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_tolerance_rejected_with_field_name(tmp_path, capsys):
     # a misspelt tolerance would otherwise leave the real one at its default
     cfg = tmp_path / "bad.json"

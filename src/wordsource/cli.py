@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .harness import (
-    EXPERIMENT_DEFAULTS,
     resolve_config,
     run_experiment,
     validate_config,
@@ -165,17 +164,15 @@ def _run(config):
 
 
 def cmd_aep(args):
-    model_cfg = _json_arg(args.model) if args.model else None
-    codebook_cfg = _json_arg(args.codebook) if args.codebook else None
     overrides = _overrides(args, "seed", "horizon", "paths", "format")
-    if model_cfg:
-        overrides["model"] = model_cfg
-    if codebook_cfg:
-        overrides["codebook"] = codebook_cfg
-    model = model_from_config(model_cfg or EXPERIMENT_DEFAULTS["aep-prefix-free"]["model"])
-    wf = word_function_from_config(
-        codebook_cfg or EXPERIMENT_DEFAULTS["aep-prefix-free"]["codebook"]
-    )
+    if args.model:
+        overrides["model"] = _json_arg(args.model)
+    if args.codebook:
+        overrides["codebook"] = _json_arg(args.codebook)
+    # validated first, so a bad --model or --codebook is named by its JSON path
+    config = resolve_config({"experiment": "aep-prefix-free", **overrides})
+    model = model_from_config(config.model)
+    wf = word_function_from_config(config.codebook)
     if isinstance(model, MixtureSource) and is_prefix_free(wf):
         name = "aep-mixture"
     elif is_prefix_free(wf):

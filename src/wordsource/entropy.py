@@ -24,10 +24,16 @@ identical.
 
 One forward scan serves cylinder probabilities, sample-entropy traces and the
 AEP experiment (per-path sample entropy against the component bound
-entropy-rate / expected-codeword-length). A step moves only the components'
-vectors and scales; they are combined into log q only where it is read: at
-a scan's checkpoints, or at the leaves of the block-table walk behind H_n. A
-source model's own law mu is the identity-codebook case, so its prefix scans
+entropy-rate / expected-codeword-length). It runs as a finite automaton: a
+component's next vector and log increment depend only on (previous symbol,
+vector, symbol), so each step is taken once and stored on the measure's chain,
+keyed by that pair and symbol. One step helper does the float work, in a fixed
+order, for the scan and for ``_ChainScanner.advance`` (the block-table walk
+behind H_n), so a stored step is bitwise the step recomputed; past the cap of
+MAX_INTERNED_NODES nodes per measure new steps are computed, not stored. The
+scales add the same increments in the same order and are combined into log q
+only where it is read: at a scan's checkpoints, or at the block-table leaves.
+A source model's own law mu is the identity-codebook case, so its prefix scans
 (``SourceModel.prefix_scanner``) run on this kernel too. Shifted cylinder
 probabilities q(T^-i [b]) = (start T^i) . r_b, for sources too, step the
 same chain's dense transition matrix. A measure builds its chain once, on
@@ -64,6 +70,8 @@ from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_
 
 # Full block enumerations refuse to build more than this many cylinders.
 DEFAULT_ENUMERATION_CELLS = 2**20
+# A measure interns at most this many forward nodes; later ones are not stored.
+MAX_INTERNED_NODES = 2**16
 
 
 def _step(sources, states):
@@ -100,6 +108,11 @@ class _Chain:
     ``tables`` holds (log weight, steps) per component for the prefix
     scanner: ``steps[p][b]`` is the step from the component's states
     emitting p (for p = B, its fresh start) to those emitting b.
+
+    A forward node is (key, next): key is (previous symbol, normalised vector
+    as a tuple); next[b] is None until the step on b is taken, then (successor
+    node, log increment), or () if the component dies there. ``roots`` holds
+    the fresh starts, key (B, (1.0,)); ``nodes[c]`` interns the others by key.
     """
 
     def __init__(self, model, word_function):
@@ -132,6 +145,42 @@ class _Chain:
             tables.append((log_weight, tuple(tuple(_step(reach, states) for states in emitting)
                                              for reach in sources)))
         self.tables = tuple(tables)
+        self.roots = [((B, (1.0,)), [None] * B) for _ in tables]
+        self.nodes = [{} for _ in tables]
+
+    def step(self, c, node, symbol):
+        """Component c's forward step from ``node`` on ``symbol``, stored in
+        the node unless the successor is new and the interning cap is full.
+
+        The float work is fixed (sums in table order, then the log increment,
+        then the division), so equal keys give bitwise equal successors.
+        """
+        (prev, v), nexts = node
+        width, targets, leaks = self.tables[c][1][prev][symbol]
+        new = [0.0] * width
+        kept = 0.0
+        for i, sources in targets:
+            x = 0.0
+            for j, w in sources:
+                x += v[j] * w
+            new[i] = x
+            kept += x
+        if kept == 0.0:
+            nexts[symbol] = ()
+            return ()
+        leak = 0.0
+        for j, w in leaks:
+            leak += v[j] * w
+        inc = math.log1p(-leak) if leak < 0.5 else math.log(kept)
+        key = (symbol, tuple([x / kept for x in new]))
+        succ = self.nodes[c].get(key)
+        if succ is None:
+            succ = (key, [None] * len(nexts))
+            if sum(map(len, self.nodes)) >= MAX_INTERNED_NODES:
+                return succ, inc
+            self.nodes[c][key] = succ
+        nexts[symbol] = (succ, inc)
+        return succ, inc
 
     @cached_property
     def dense(self):
@@ -152,73 +201,78 @@ class _Chain:
 
 
 class _ChainScanner:
-    """Scaled forward algorithm along a fixed output prefix, per component."""
+    """Scaled forward algorithm along a fixed output prefix, per component:
+    its node (None once the component has lost all mass) and log scale."""
 
-    __slots__ = ("chains", "prev", "vectors", "scales")
+    __slots__ = ("chain", "nodes", "scales")
 
-    def __init__(self, chains, prev, vectors, scales):
-        self.chains = chains
-        self.prev = prev
-        self.vectors = vectors  # None once a component has lost all mass
+    def __init__(self, chain, nodes, scales):
+        self.chain = chain
+        self.nodes = nodes
         self.scales = scales
 
     def clone(self):
-        return _ChainScanner(
-            self.chains, self.prev,
-            [None if v is None else v[:] for v in self.vectors], self.scales[:],
-        )
+        return _ChainScanner(self.chain, self.nodes[:], self.scales[:])
 
     def advance(self, symbol):
         """Step every live component on ``symbol``; False once none is left."""
-        prev = self.prev
-        self.prev = symbol
-        vectors = self.vectors
-        scales = self.scales
+        nodes, scales = self.nodes, self.scales
         alive = False
-        for c, (_, steps) in enumerate(self.chains):
-            v = vectors[c]
-            if v is None:
+        for c, node in enumerate(nodes):
+            if node is None:
                 continue
-            width, targets, leaks = steps[prev][symbol]
-            new = [0.0] * width
-            kept = 0.0
-            for i, sources in targets:
-                x = 0.0
-                for j, w in sources:
-                    x += v[j] * w
-                new[i] = x
-                kept += x
-            if kept == 0.0:
-                vectors[c] = None
-                continue
-            leak = 0.0
-            for j, w in leaks:
-                leak += v[j] * w
-            scales[c] += math.log1p(-leak) if leak < 0.5 else math.log(kept)
-            for i in range(width):
-                new[i] /= kept
-            vectors[c] = new
-            alive = True
+            out = node[1][symbol]
+            if out is None:
+                out = self.chain.step(c, node, symbol)
+            if out:
+                nodes[c], inc = out
+                scales[c] += inc
+                alive = True
+            else:
+                nodes[c] = None
         return alive
 
     def log_probability(self):
         """log q of the prefix read so far: the live components, combined in order."""
-        terms = [log_weight + scale for (log_weight, _), v, scale
-                 in zip(self.chains, self.vectors, self.scales) if v is not None]
-        return _clamp_log_prob(terms[0] if len(terms) == 1 else _logsumexp(terms))
+        return _combine([log_weight + scale for (log_weight, _), node, scale
+                         in zip(self.chain.tables, self.nodes, self.scales) if node is not None])
+
+
+def _combine(terms):
+    """log q from the live components' log weight + log scale, in component order."""
+    return _clamp_log_prob(terms[0] if len(terms) == 1 else _logsumexp(terms))
 
 
 def _scan(measure, symbols, checkpoints):
     """log q at each sorted, distinct 1-based checkpoint the path reaches, and the
-    1-based position where it left the support (None if it never did)."""
-    scanner = measure.prefix_scanner()
-    lps = []
-    for pos, s in enumerate(symbols[:checkpoints[-1]], 1):
-        if not scanner.advance(s):
-            return lps, pos
-        if pos == checkpoints[len(lps)]:
-            lps.append(scanner.log_probability())
-    return lps, None
+    1-based position where it left the support (None if it never did).
+
+    Each component walks the path alone; its scale is read at each checkpoint
+    it reaches alive, and the components are combined only there.
+    """
+    chain = measure._chain
+    symbols = symbols[:checkpoints[-1]]
+    marks, deaths = [], []
+    for c, node in enumerate(chain.roots):
+        scale, seen, cps = 0.0, [], iter(checkpoints)
+        cp = next(cps)
+        for pos, s in enumerate(symbols, 1):
+            out = node[1][s]
+            if out is None:
+                out = chain.step(c, node, s)
+            if not out:
+                deaths.append(pos)
+                break
+            node, inc = out
+            scale += inc
+            if pos == cp:
+                seen.append(scale)
+                cp = next(cps, 0)  # 0: no checkpoint left
+        marks.append(seen)
+    lps = [_combine([log_weight + seen[k] for (log_weight, _), seen in zip(chain.tables, marks)
+                     if len(seen) > k])
+           for k in range(max(map(len, marks)))]
+    return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
 class InducedMeasure:
@@ -245,9 +299,8 @@ class InducedMeasure:
         return _Chain(self.model, self.word_function)
 
     def prefix_scanner(self):
-        tables = self._chain.tables
-        return _ChainScanner(tables, self.alphabet_size, [[1.0] for _ in tables],
-                             [0.0] * len(tables))
+        roots = self._chain.roots
+        return _ChainScanner(self._chain, roots[:], [0.0] * len(roots))
 
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""

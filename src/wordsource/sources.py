@@ -303,6 +303,9 @@ class SourceModel:
         A = self.alphabet_size
         return InducedMeasure(self, WordFunction(A, A, tuple((a,) for a in range(A))))
 
+    # prefix scans of the source run on its identity-codebook measure's chain
+    _chain = property(lambda self: self._identity_measure._chain)
+
     def prefix_scanner(self):
         """Incremental evaluator of log mu([w^n]) as symbols are appended.
 

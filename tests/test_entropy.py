@@ -24,10 +24,12 @@ from wordsource import (
     component_bounds,
     conservation_report,
     encode_stream,
+    entropy,
     induced_cylinder_log_probability,
     joint_entropy_exact,
     sample_entropy_trace,
 )
+from wordsource.entropy import _scan
 from wordsource.experiments import (
     random_codebook,
     random_model_config,
@@ -361,10 +363,17 @@ def test_scanner_clones_are_independent():
     scanner = induced.prefix_scanner()
     for pos, s in enumerate(y):
         clone = scanner.clone()
+        twin = scanner.clone()
         # drive the clone down a different branch before the original moves
         clone.advance(int(1 - s))
         clone.advance(0)
         scanner.advance(int(s))
+        assert scanner.log_probability() == reference[pos]
+        # a twin on the same symbol reaches the very same interned nodes,
+        # and moving it on leaves the original where it was
+        twin.advance(int(s))
+        assert all(a is b for a, b in zip(twin.nodes, scanner.nodes))
+        twin.advance(int(1 - y[pos + 1]) if pos + 1 < len(y) else 0)
         assert scanner.log_probability() == reference[pos]
 
 
@@ -452,6 +461,54 @@ def test_kernel_floats_pinned():
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
 
+def _interned(measure):
+    return sum(map(len, measure._chain.nodes))
+
+
+def _under_each_cap(run):
+    """run(cap) with the interning cap at 0, at 4 and at its default."""
+    results = []
+    for cap in (0, 4, entropy.MAX_INTERNED_NODES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "MAX_INTERNED_NODES", cap)
+            results.append(run(cap))
+    return results
+
+
+def _assert_bitwise_equal(results):
+    first, *rest = [np.array(r, dtype=float).tobytes() for r in results]
+    assert all(r == first for r in rest)
+
+
+def test_interned_nodes_stay_few():
+    # with a prefix-free code the output fixes the codeword boundaries, so each
+    # component's forward vector takes a handful of values; a key that never
+    # hits (one carrying the scale, say) would intern a node per symbol
+    induced = InducedMeasure(MIX, WF)
+    path = induced.sample_path(10**5, seed=23).symbols
+    assert induced.cylinder_log_probability(path) > NEG_INF
+    assert all(len(nodes) <= 16 for nodes in induced._chain.nodes)
+
+
+def test_interning_cap_never_moves_a_bit_on_long_paths():
+    path = InducedMeasure(MIX, WF).sample_path(10**4, seed=17).symbols
+    three = MarkovSource([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
+                         [0.2, 0.5, 0.3])
+    wf3 = WordFunction(3, 3, ((0,), (0, 1), (2, 1, 0)))
+
+    def trace(cap):
+        induced = InducedMeasure(MIX, WF)
+        values = sample_entropy_trace(induced, path, range(1, 10**4 + 1)).values
+        assert cap != 4 or _interned(induced) <= 4
+        return values
+
+    def aep(cap):
+        return [r.empirical_h for r in aep_experiment(three, wf3, 10**4, 2, seed=7)]
+
+    _assert_bitwise_equal(_under_each_cap(trace))
+    _assert_bitwise_equal(_under_each_cap(aep))
+
+
 # -- property test: chain kernel against the brute-force oracle -----------------
 
 def test_oracle_never_imports_the_kernel():
@@ -522,3 +579,27 @@ def test_kernel_matches_oracle_property(pair):
             summed = [math.fsum(np.exp(oracles[i + n].reshape(B**i, B**n)[:, code]))
                       for i in range(5)]
             assert np.abs(shifted - summed).max() <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_model_and_codebook())
+def test_interning_cap_never_moves_a_bit(pair):
+    # a stored step returns the floats a recomputation gives, so scans and
+    # block tables are bitwise equal whether nothing, 4 nodes or all are kept
+    model, wf = pair
+    noise = np.random.default_rng(1).integers(wf.output_alphabet_size, size=300).tolist()
+
+    def run(cap):
+        induced = InducedMeasure(model, wf)
+        out = []
+        for n in range(1, 7):
+            out += block_log_probability_table(induced, n).tolist()
+            assert cap != 4 or _interned(induced) <= 4
+        path = induced.sample_path(1000, seed=3).symbols.tolist()
+        for symbols in (path, noise):
+            lps, left_at = _scan(induced, symbols, list(range(1, len(symbols) + 1)))
+            out += lps + [-1.0 if left_at is None else left_at]
+            assert cap != 4 or _interned(induced) <= 4
+        return out
+
+    _assert_bitwise_equal(_under_each_cap(run))

@@ -359,6 +359,19 @@ def test_cli_aep_dispatches_on_codebook_and_model(tmp_path, capsys):
     assert "experiment: aep-mixture" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--model", {"type": "iid", "dist": [0.5, 0.4]}, "config error: model: iid distribution: "),
+    ("--codebook", {"input_alphabet": 2, "output_alphabet": 2, "code": ["0"]},
+     "config error: codebook: "),
+])
+def test_cli_aep_names_bad_model_or_codebook(tmp_path, capsys, flag, value, message):
+    # the aep subcommand picks its experiment from the model and codebook, so
+    # it must validate them first, as ``run`` and ``conservation`` do
+    assert main(["aep", flag, json.dumps(value), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_conservation_subcommand(tmp_path, capsys):
     assert main(["conservation", "--block-cap", "10",
                  "--out", str(tmp_path)]) == 0

@@ -165,9 +165,9 @@ def test_mixture_paths_concentrate_on_one_component():
 def test_source_chain_built_once():
     # prefix scans and shifted probabilities share one identity-codebook chain
     model = MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])
-    chains = model.prefix_scanner().chains
+    chain = model.prefix_scanner().chain
     model.shifted_cylinder_probability([0], 3)
-    assert model.prefix_scanner().chains is chains
+    assert model.prefix_scanner().chain is chain
 
 
 # -- shifted probabilities and Cesaro averages --------------------------------

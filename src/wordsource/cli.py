@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .harness import (
+    read_json,
     resolve_config,
     run_experiment,
     validate_config,
@@ -54,16 +55,16 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _json_arg(text):
-    """Parse an inline JSON argument or, when it names a file, its contents."""
+def _json_arg(args, key):
+    """Parse ``--key``: inline JSON or, when it names a file, the file's contents."""
+    text, flag = getattr(args, key), f"--{key}"
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(text, flag)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"argument is neither an existing file nor valid JSON: {text!r} ({exc})"
+            f"{flag} is neither an existing file nor valid JSON: {text!r} ({exc})"
         ) from exc
 
 
@@ -80,7 +81,7 @@ def _emit_table(path, columns, rows, fmt):
 
 
 def cmd_check_prefix(args):
-    wf = word_function_from_config(_json_arg(args.codebook))
+    wf = word_function_from_config(_json_arg(args, "codebook"))
     check = is_prefix_free(wf)
     print(f"prefix_free: {check.ok}")
     if not check.ok:
@@ -90,7 +91,7 @@ def cmd_check_prefix(args):
 
 
 def cmd_encode(args):
-    wf = word_function_from_config(_json_arg(args.codebook))
+    wf = word_function_from_config(_json_arg(args, "codebook"))
     enc = encode_stream(wf, _symbols_arg(args.input))
     print("output:", "".join(map(str, enc.output)))
     print("boundaries:", ",".join(map(str, enc.boundaries)))
@@ -98,7 +99,7 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    wf = word_function_from_config(_json_arg(args.codebook))
+    wf = word_function_from_config(_json_arg(args, "codebook"))
     decoded, consumed = decode_prefix_free(wf, _symbols_arg(args.input))
     print("decoded:", "".join(map(str, decoded)))
     print("consumed:", consumed)
@@ -106,8 +107,8 @@ def cmd_decode(args):
 
 
 def cmd_induced_prob(args):
-    model = model_from_config(_json_arg(args.model))
-    wf = word_function_from_config(_json_arg(args.codebook))
+    model = model_from_config(_json_arg(args, "model"))
+    wf = word_function_from_config(_json_arg(args, "codebook"))
     lp = InducedMeasure(model, wf).cylinder_log_probability(_symbols_arg(args.block))
     print(f"log_probability_nats: {lp!r}")
     print(f"log2_probability: {lp / np.log(2.0)!r}")
@@ -117,9 +118,9 @@ def cmd_induced_prob(args):
 
 def _measure(args):
     """The ``--model``, or its induced measure when ``--codebook`` is given."""
-    model = model_from_config(_json_arg(args.model))
+    model = model_from_config(_json_arg(args, "model"))
     if args.codebook:
-        return InducedMeasure(model, word_function_from_config(_json_arg(args.codebook)))
+        return InducedMeasure(model, word_function_from_config(_json_arg(args, "codebook")))
     return model
 
 
@@ -127,7 +128,11 @@ def cmd_entropy_trace(args):
     measure = _measure(args)
     path = measure.sample_path(args.horizon, args.seed)
     if args.checkpoints:
-        cps = [int(c) for c in args.checkpoints.split(",")]
+        try:
+            cps = [int(c) for c in args.checkpoints.split(",")]
+        except ValueError:
+            raise ConfigError(f"--checkpoints must be comma-separated integers, "
+                              f"got {args.checkpoints!r}") from None
     else:
         cps = default_checkpoints(args.horizon).tolist()
     trace = sample_entropy_trace(measure, path.symbols, cps)
@@ -166,9 +171,9 @@ def _run(config):
 def cmd_aep(args):
     overrides = _overrides(args, "seed", "horizon", "paths", "format")
     if args.model:
-        overrides["model"] = _json_arg(args.model)
+        overrides["model"] = _json_arg(args, "model")
     if args.codebook:
-        overrides["codebook"] = _json_arg(args.codebook)
+        overrides["codebook"] = _json_arg(args, "codebook")
     # validated first, so a bad --model or --codebook is named by its JSON path
     config = resolve_config({"experiment": "aep-prefix-free", **overrides})
     model = model_from_config(config.model)
@@ -185,9 +190,9 @@ def cmd_aep(args):
 def cmd_conservation(args):
     overrides = _overrides(args, "format")
     if args.model:
-        overrides["model"] = _json_arg(args.model)
+        overrides["model"] = _json_arg(args, "model")
     if args.codebook:
-        overrides["codebook"] = _json_arg(args.codebook)
+        overrides["codebook"] = _json_arg(args, "codebook")
     if args.block_cap:
         overrides["params"] = {"block_cap": args.block_cap}
     return _run(resolve_config({"experiment": "conservation", **overrides}))
@@ -221,7 +226,7 @@ def cmd_ergodic_check(args):
 
 def cmd_vls_orbit(args):
     if args.codebook:
-        wf = word_function_from_config(_json_arg(args.codebook))
+        wf = word_function_from_config(_json_arg(args, "codebook"))
         spec = VariableLengthShiftSpec.from_codebook(wf)
     elif args.constant:
         spec = VariableLengthShiftSpec.constant(args.alphabet, args.constant)
@@ -230,7 +235,7 @@ def cmd_vls_orbit(args):
     if args.input:
         symbols = _symbols_arg(args.input)
     elif args.model:
-        model = model_from_config(_json_arg(args.model))
+        model = model_from_config(_json_arg(args, "model"))
         symbols = model.sample_path(args.horizon, args.seed).symbols
     else:
         raise ConfigError("vls-orbit needs --input or --model")
@@ -247,6 +252,8 @@ def cmd_vls_orbit(args):
 
 
 def cmd_bellow(args):
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     horizon = args.horizon
     zeta = np.arange(0, horizon + args.stride + 1, args.stride)
     ts = TimeSubsequence(zeta=zeta)

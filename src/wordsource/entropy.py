@@ -11,7 +11,7 @@ a fresh start enters (a', 0) with the initial law. State (a, k) emits
 c_a[k], so q(b^n) is the chain's forward probability of emitting b^n; a last
 codeword that overshoots b^n simply leaves the chain inside it.
 
-The scanner runs the scaled forward algorithm (Rabiner 1989). Each ergodic
+The kernel runs the scaled forward algorithm (Rabiner 1989). Each ergodic
 component keeps its own forward vector, normalised to sum 1 and held only
 over the states that emit the last symbol, and its own log scale: a scale
 shared across a block-diagonal mixture loses the components' relative
@@ -27,14 +27,15 @@ AEP experiment (per-path sample entropy against the component bound
 entropy-rate / expected-codeword-length). It runs as a finite automaton: a
 component's next vector and log increment depend only on (previous symbol,
 vector, symbol), so each step is taken once and stored on the measure's chain,
-keyed by that pair and symbol. One step helper does the float work, in a fixed
-order, for the scan and for ``_ChainScanner.advance`` (the block-table walk
-behind H_n), so a stored step is bitwise the step recomputed; past the cap of
-MAX_INTERNED_NODES nodes per measure new steps are computed, not stored. The
-scales add the same increments in the same order and are combined into log q
-only where it is read: at a scan's checkpoints, or at the block-table leaves.
-A source model's own law mu is the identity-codebook case, so its prefix scans
-(``SourceModel.prefix_scanner``) run on this kernel too. Shifted cylinder
+keyed by that pair and symbol. The block tables behind H_n walk each
+component's tree of stored nodes depth first. One step helper does the float
+work, in a fixed order, for the scan and the table walk, so a stored step is
+bitwise the step recomputed; past the cap of MAX_INTERNED_NODES nodes per
+measure new steps are computed, not stored. The scales add the same
+increments in the same order, and one helper combines them into log q only
+where it is read: at a scan's checkpoints, or at the table's live cells.
+A source model's own law mu is the identity-codebook case, so its scans and
+tables run on this kernel too. Shifted cylinder
 probabilities q(T^-i [b]) = (start T^i) . r_b, for sources too, step the
 same chain's dense transition matrix. A measure builds its chain once, on
 first use, as one state layout over (component, a, k) that both the step
@@ -75,7 +76,7 @@ MAX_INTERNED_NODES = 2**16
 
 
 def _step(sources, states):
-    """One scanner step from the states whose moves are ``sources`` to ``states``.
+    """One forward step from the states whose moves are ``sources`` to ``states``.
 
     Returns (width, targets, leaks): new[i] is the sum of v[j] * w over
     (j, w) in the target entry (i, terms), and a leak entry (j, w) is the
@@ -105,9 +106,9 @@ class _Chain:
     pairs one step reaches. ``starts`` holds (weight, log weight, moves of
     the fresh start) per component.
 
-    ``tables`` holds (log weight, steps) per component for the prefix
-    scanner: ``steps[p][b]`` is the step from the component's states
-    emitting p (for p = B, its fresh start) to those emitting b.
+    ``log_weights[c]`` is component c's log weight, and ``tables[c][p][b]``
+    its step from the states emitting p (for p = B, its fresh start) to
+    those emitting b.
 
     A forward node is (key, next): key is (previous symbol, normalised vector
     as a tuple); next[b] is None until the step on b is taken, then (successor
@@ -122,7 +123,7 @@ class _Chain:
             parts = [(1.0, 0.0, model)]
         codewords = word_function.codewords
         B = word_function.output_alphabet_size
-        emits, moves, self.starts, tables = [], [], [], []
+        emits, moves, self.starts, log_weights, tables = [], [], [], [], []
         self.emits, self.moves = emits, moves
         for weight, log_weight, comp in parts:
             if not weight > 0.0:
@@ -142,9 +143,10 @@ class _Chain:
             self.starts.append((weight, log_weight, fresh))
             emitting = [[s for s in range(low, len(emits)) if emits[s] == b] for b in range(B)]
             sources = [[moves[s] for s in states] for states in emitting] + [[fresh]]
-            tables.append((log_weight, tuple(tuple(_step(reach, states) for states in emitting)
-                                             for reach in sources)))
-        self.tables = tuple(tables)
+            log_weights.append(log_weight)
+            tables.append(tuple(tuple(_step(reach, states) for states in emitting)
+                                for reach in sources))
+        self.log_weights, self.tables = tuple(log_weights), tuple(tables)
         self.roots = [((B, (1.0,)), [None] * B) for _ in tables]
         self.nodes = [{} for _ in tables]
 
@@ -156,7 +158,7 @@ class _Chain:
         then the division), so equal keys give bitwise equal successors.
         """
         (prev, v), nexts = node
-        width, targets, leaks = self.tables[c][1][prev][symbol]
+        width, targets, leaks = self.tables[c][prev][symbol]
         new = [0.0] * width
         kept = 0.0
         for i, sources in targets:
@@ -200,46 +202,10 @@ class _Chain:
         return matrix, np.ascontiguousarray(matrix.T), start, np.array(self.emits)
 
 
-class _ChainScanner:
-    """Scaled forward algorithm along a fixed output prefix, per component:
-    its node (None once the component has lost all mass) and log scale."""
-
-    __slots__ = ("chain", "nodes", "scales")
-
-    def __init__(self, chain, nodes, scales):
-        self.chain = chain
-        self.nodes = nodes
-        self.scales = scales
-
-    def clone(self):
-        return _ChainScanner(self.chain, self.nodes[:], self.scales[:])
-
-    def advance(self, symbol):
-        """Step every live component on ``symbol``; False once none is left."""
-        nodes, scales = self.nodes, self.scales
-        alive = False
-        for c, node in enumerate(nodes):
-            if node is None:
-                continue
-            out = node[1][symbol]
-            if out is None:
-                out = self.chain.step(c, node, symbol)
-            if out:
-                nodes[c], inc = out
-                scales[c] += inc
-                alive = True
-            else:
-                nodes[c] = None
-        return alive
-
-    def log_probability(self):
-        """log q of the prefix read so far: the live components, combined in order."""
-        return _combine([log_weight + scale for (log_weight, _), node, scale
-                         in zip(self.chain.tables, self.nodes, self.scales) if node is not None])
-
-
-def _combine(terms):
-    """log q from the live components' log weight + log scale, in component order."""
+def _log_q(chain, scales):
+    """log q from each component's log scale, -inf where the component died:
+    the live components' log weight + scale, combined in component order."""
+    terms = [w + s for w, s in zip(chain.log_weights, scales) if s > NEG_INF]
     return _clamp_log_prob(terms[0] if len(terms) == 1 else _logsumexp(terms))
 
 
@@ -268,10 +234,9 @@ def _scan(measure, symbols, checkpoints):
             if pos == cp:
                 seen.append(scale)
                 cp = next(cps, 0)  # 0: no checkpoint left
-        marks.append(seen)
-    lps = [_combine([log_weight + seen[k] for (log_weight, _), seen in zip(chain.tables, marks)
-                     if len(seen) > k])
-           for k in range(max(map(len, marks)))]
+        marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
+    # death is final, so the checkpoints some component reaches are a prefix
+    lps = [_log_q(chain, scales) for scales in zip(*marks) if max(scales) > NEG_INF]
     return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
@@ -297,10 +262,6 @@ class InducedMeasure:
     @cached_property
     def _chain(self):
         return _Chain(self.model, self.word_function)
-
-    def prefix_scanner(self):
-        roots = self._chain.roots
-        return _ChainScanner(self._chain, roots[:], [0.0] * len(roots))
 
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""
@@ -380,8 +341,10 @@ def induced_cylinder_log_probability(model, word_function, symbols):
 def block_log_probability_table(measure, n):
     """Log probabilities of every length-n cylinder, in lexicographic order.
 
-    Shares prefix work across tuples by walking the output tree with cloned
-    scanners; entry i corresponds to the base-|alphabet| digits of i.
+    Each component walks its own forward nodes depth first, sharing prefix
+    work across tuples and pruning where it dies, and leaves its log scale
+    at every leaf it reaches; entry i corresponds to the base-|alphabet|
+    digits of i, and only the cells some component reaches are combined.
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
@@ -391,21 +354,30 @@ def block_log_probability_table(measure, n):
         raise ResourceError(
             f"block table needs {cells} cylinders, over the cap of {DEFAULT_ENUMERATION_CELLS}"
         )
-    out = np.full(cells, NEG_INF)
-    stack = [(measure.prefix_scanner(), 0, 0)]
-    while stack:
-        scanner, depth, idx = stack.pop()
-        for b in range(B):
-            # the original may only be advanced once all clones are taken
-            child = scanner.clone() if b < B - 1 else scanner
-            if not child.advance(b):
-                continue  # a dead prefix keeps the prefilled -inf for its whole subtree
-            child_idx = idx * B + b
-            if depth + 1 == n:
-                out[child_idx] = child.log_probability()
-            else:
-                stack.append((child, depth + 1, child_idx))
-    return out
+    chain = measure._chain
+    # one column of log scales per component; a dead prefix keeps -inf for its whole subtree
+    scales = np.full((len(chain.roots), cells), NEG_INF)
+    for c, root in enumerate(chain.roots):
+        column = scales[c]
+        stack = [(root, 0.0, 0, 0)]
+        while stack:
+            node, scale, depth, index = stack.pop()
+            for b, out in enumerate(node[1]):
+                if out is None:
+                    out = chain.step(c, node, b)
+                if not out:
+                    continue
+                child, inc = out
+                if depth + 1 < n:
+                    stack.append((child, scale + inc, depth + 1, index * B + b))
+                else:
+                    column[index * B + b] = scale + inc
+    live = np.flatnonzero(scales.max(axis=0) > NEG_INF)
+    table = np.full(cells, NEG_INF)
+    # memoryview rows yield Python floats one cell at a time, so no per-cell list is built
+    per_cell = zip(*map(memoryview, scales[:, live]))
+    table[live] = np.fromiter((_log_q(chain, cell) for cell in per_cell), float, live.size)
+    return table
 
 
 def joint_entropy_exact(measure, n):

@@ -188,6 +188,10 @@ def ams_diagnostic(measure, cylinders, horizon, checkpoints=None, tol=1e-2):
     if checkpoints is None:
         checkpoints = default_checkpoints(horizon)
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
+    if cps.size == 0 or cps[0] < 1:
+        raise DomainError("checkpoints must be positive")
+    if cps[-1] > horizon:
+        raise DomainError(f"max checkpoint {cps[-1]} exceeds the horizon {horizon}")
     shifts = np.arange(int(cps[-1]))
     out = []
     for cyl in cylinders:

@@ -277,19 +277,24 @@ def resolve_config(raw):
     )
 
 
+def read_json(path, name):
+    """The JSON document in the file at ``path``; errors name it as ``name``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name} {path} is not valid JSON: {exc}") from exc
+
+
 def validate_config(path, overrides=None):
     """Load and resolve a config file, reporting schema problems by JSON path.
 
     ``overrides`` replace top-level fields of the file and are validated
     with them.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, "config")
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
     return resolve_config(raw)

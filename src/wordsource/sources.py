@@ -13,7 +13,7 @@ finite-horizon stationarity / AMS diagnostics), exposes its ergodic
 components, and reports its exact entropy rate in bits per symbol. Shifted
 probabilities have no per-family code: mu is the induced law under the
 identity codebook, so they are the induced measure's exact chain
-computation, as are prefix scans.
+computation, as are the source's block tables and sample-entropy traces.
 
 Mixtures realise the ergodic decomposition extensionally: sampling draws one
 component per path and holds it fixed, so each realisation is governed by a
@@ -70,7 +70,10 @@ def as_symbols(symbols, alphabet_size):
 
 
 def _as_probability_vector(vec, name):
-    arr = np.asarray(vec, dtype=float)
+    try:
+        arr = np.asarray(vec, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected a nonempty probability vector") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{name}: expected a nonempty probability vector")
     if np.any(arr < 0):
@@ -303,17 +306,8 @@ class SourceModel:
         A = self.alphabet_size
         return InducedMeasure(self, WordFunction(A, A, tuple((a,) for a in range(A))))
 
-    # prefix scans of the source run on its identity-codebook measure's chain
+    # scans and block tables of the source run on its identity-codebook measure's chain
     _chain = property(lambda self: self._identity_measure._chain)
-
-    def prefix_scanner(self):
-        """Incremental evaluator of log mu([w^n]) as symbols are appended.
-
-        It runs on the chain kernel of the identity-codebook induced measure:
-        ``advance(symbol)`` returns False once the prefix has probability 0,
-        and ``log_probability()`` reads log mu of the prefix so far.
-        """
-        return self._identity_measure.prefix_scanner()
 
 
 class IIDSource(SourceModel):
@@ -358,7 +352,10 @@ class MarkovSource(SourceModel):
     """First-order Markov chain over a finite alphabet."""
 
     def __init__(self, matrix, initial):
-        P = np.asarray(matrix, dtype=float)
+        try:
+            P = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("transition matrix must be a square array of numbers") from None
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ConfigError("transition matrix must be square")
         if P.shape[0] < 2:

@@ -91,9 +91,14 @@ def word_function_from_config(config):
         if not word.isdigit():
             raise ConfigError(f"code[{i}] contains a non-digit character")
         codewords.append(tuple(int(ch) for ch in word))
+    try:
+        sizes = int(config["input_alphabet"]), int(config["output_alphabet"])
+    except (TypeError, ValueError):
+        raise ConfigError("codebook 'input_alphabet' and 'output_alphabet' "
+                          "must be integers") from None
     return WordFunction(
-        input_alphabet_size=int(config["input_alphabet"]),
-        output_alphabet_size=int(config["output_alphabet"]),
+        input_alphabet_size=sizes[0],
+        output_alphabet_size=sizes[1],
         codewords=tuple(codewords),
     )
 

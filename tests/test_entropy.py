@@ -121,11 +121,9 @@ def test_monotone_cylinder_probabilities():
     induced = InducedMeasure(FAIR, WF)
     for _ in range(10):
         y = InducedMeasure(FAIR, WF).sample_path(60, int(rng.integers(1 << 30))).symbols
-        scanner = induced.prefix_scanner()
+        lps, _ = _scan(induced, y.tolist(), list(range(1, len(y) + 1)))
         prev = 0.0
-        for s in y:
-            scanner.advance(int(s))
-            lp = scanner.log_probability()
+        for lp in lps:
             assert lp <= prev + 1e-12
             prev = lp
 
@@ -351,32 +349,6 @@ def test_induced_law_matches_derived_output_chain():
             assert np.abs(dp[mask] - ref[mask]).max() < 1e-10
 
 
-def test_scanner_clones_are_independent():
-    induced = InducedMeasure(MIX, WF)
-    y = induced.sample_path(40, seed=31).symbols
-    scanner = induced.prefix_scanner()
-    reference = []
-    for s in y:
-        scanner.advance(int(s))
-        reference.append(scanner.log_probability())
-
-    scanner = induced.prefix_scanner()
-    for pos, s in enumerate(y):
-        clone = scanner.clone()
-        twin = scanner.clone()
-        # drive the clone down a different branch before the original moves
-        clone.advance(int(1 - s))
-        clone.advance(0)
-        scanner.advance(int(s))
-        assert scanner.log_probability() == reference[pos]
-        # a twin on the same symbol reaches the very same interned nodes,
-        # and moving it on leaves the original where it was
-        twin.advance(int(s))
-        assert all(a is b for a, b in zip(twin.nodes, scanner.nodes))
-        twin.advance(int(1 - y[pos + 1]) if pos + 1 < len(y) else 0)
-        assert scanner.log_probability() == reference[pos]
-
-
 def test_induced_consistency_mixture():
     induced = InducedMeasure(MIX, WF)
     for n in range(1, 7):
@@ -579,6 +551,21 @@ def test_kernel_matches_oracle_property(pair):
             summed = [math.fsum(np.exp(oracles[i + n].reshape(B**i, B**n)[:, code]))
                       for i in range(5)]
             assert np.abs(shifted - summed).max() <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_model_and_codebook())
+def test_block_table_cells_equal_cylinder_scans(pair):
+    # the table's walk and the path scan share steps and the combine, so each
+    # cell is bitwise the cylinder probability of its own tuple
+    model, wf = pair
+    induced = InducedMeasure(model, wf)
+    B = wf.output_alphabet_size
+    for n in range(1, 6):
+        table = block_log_probability_table(induced, n)
+        tuples = itertools.product(range(B), repeat=n)
+        cells = [induced.cylinder_log_probability(t) for t in tuples]
+        assert table.tobytes() == np.array(cells).tobytes()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

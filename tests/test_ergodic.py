@@ -129,6 +129,14 @@ def test_ams_diagnostic_horizon_guard():
         ams_diagnostic(FAIR, [[0]], 50)
 
 
+@pytest.mark.parametrize("checkpoints", [[0, 100], [], [100, 101]])
+def test_ams_diagnostic_checkpoint_guard(checkpoints):
+    # checkpoint 0 would divide by zero, and one past the horizon would
+    # silently lengthen the trace
+    with pytest.raises(DomainError):
+        ams_diagnostic(FAIR, [[0]], 100, checkpoints=checkpoints)
+
+
 def test_empirical_component_fair_coin_pairs():
     path = FAIR.sample_path(10**5 + 1, seed=5)
     emp = empirical_component(path.symbols, 2, 2, 10**5)

@@ -70,6 +70,8 @@ def test_bad_params_rejected_with_field_name(tmp_path, capsys, params, message):
 
 
 BAD_IID = {"type": "iid", "dist": [0.5, 0.4]}
+RAGGED_MARKOV = {"type": "markov", "P": [[0.5, 0.5], [1.0]], "init": [1.0, 0.0]}
+BAD_SIZE_CODEBOOK = {"input_alphabet": "x", "output_alphabet": 2, "code": ["0", "10"]}
 
 
 @pytest.mark.parametrize("experiment, params, message", [
@@ -83,6 +85,11 @@ BAD_IID = {"type": "iid", "dist": [0.5, 0.4]}
     ("log-identity", {"non_prefix_free_codebook": {"input_alphabet": 2, "output_alphabet": 2,
                                                    "code": ["0", "12"]}},
      "params.non_prefix_free_codebook: "),
+    ("ams-markov", {"aperiodic_model": {"type": "iid", "dist": "ab"}},
+     "params.aperiodic_model: iid distribution: "),
+    ("ams-markov", {"periodic_model": RAGGED_MARKOV}, "params.periodic_model: transition matrix"),
+    ("log-identity", {"non_prefix_free_codebook": BAD_SIZE_CODEBOOK},
+     "params.non_prefix_free_codebook: codebook 'input_alphabet'"),
 ])
 def test_bad_model_params_rejected_before_any_work(tmp_path, capsys, experiment, params,
                                                    message):
@@ -229,6 +236,35 @@ def test_cli_induced_prob(capsys):
     assert "0.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["induced-prob", "--model", '{"type":"iid","dist":"ab"}', "--codebook", CODEBOOK,
+      "--block", "0"], "iid distribution: "),
+    (["induced-prob", "--model", json.dumps(RAGGED_MARKOV), "--codebook", CODEBOOK,
+      "--block", "0"], "transition matrix"),
+    (["check-prefix", "--codebook", json.dumps(BAD_SIZE_CODEBOOK)], "codebook 'input_alphabet'"),
+])
+def test_cli_malformed_model_or_codebook_exit_code(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["directory", "invalid-json-file", "checkpoints", "stride"])
+def test_cli_bad_argument_exit_code(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv, flag = {
+        "directory": (["check-prefix", "--codebook", str(tmp_path)], "--codebook"),
+        "invalid-json-file": (["induced-prob", "--model", str(bad), "--codebook", CODEBOOK,
+                               "--block", "0"], "--model"),
+        "checkpoints": (["entropy-trace", "--model", MODEL, "--horizon", "10",
+                         "--checkpoints", "1,x"], "--checkpoints"),
+        "stride": (["bellow", "--stride", "0"], "--stride"),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and flag in err
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": "nope", "seed": 0}')
@@ -363,6 +399,9 @@ def test_cli_aep_dispatches_on_codebook_and_model(tmp_path, capsys):
     ("--model", {"type": "iid", "dist": [0.5, 0.4]}, "config error: model: iid distribution: "),
     ("--codebook", {"input_alphabet": 2, "output_alphabet": 2, "code": ["0"]},
      "config error: codebook: "),
+    ("--model", {"type": "iid", "dist": "ab"}, "config error: model: iid distribution: "),
+    ("--model", RAGGED_MARKOV, "config error: model: transition matrix"),
+    ("--codebook", BAD_SIZE_CODEBOOK, "config error: codebook: codebook 'input_alphabet'"),
 ])
 def test_cli_aep_names_bad_model_or_codebook(tmp_path, capsys, flag, value, message):
     # the aep subcommand picks its experiment from the model and codebook, so

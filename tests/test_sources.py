@@ -163,11 +163,11 @@ def test_mixture_paths_concentrate_on_one_component():
 
 
 def test_source_chain_built_once():
-    # prefix scans and shifted probabilities share one identity-codebook chain
+    # scans and shifted probabilities share one identity-codebook chain
     model = MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])
-    chain = model.prefix_scanner().chain
+    chain = model._chain
     model.shifted_cylinder_probability([0], 3)
-    assert model.prefix_scanner().chain is chain
+    assert model._chain is chain
 
 
 # -- shifted probabilities and Cesaro averages --------------------------------

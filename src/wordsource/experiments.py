@@ -594,13 +594,17 @@ def run_log_identity(cfg):
     inequality_failures = 0
     checked = 0
     for n in range(1, max_len + 1):
-        for tup in itertools.product(range(model.alphabet_size), repeat=n):
+        tuples = list(itertools.product(range(model.alphabet_size), repeat=n))
+        # one encode per codebook and length; tuple t's output ends at boundaries[(t + 1) n]
+        enc_pf, enc_npf = (encode_stream(wf, np.array(tuples).ravel()) for wf in (wf_pf, wf_npf))
+        cuts_pf, cuts_npf = enc_pf.boundaries[::n].tolist(), enc_npf.boundaries[::n].tolist()
+        for t, tup in enumerate(tuples):
             checked += 1
             source_lp = model.cylinder_log_probability(tup)
-            y = encode_stream(wf_pf, tup).output
+            y = enc_pf.output[cuts_pf[t]:cuts_pf[t + 1]]
             out_lp = induced_pf.cylinder_log_probability(y)
             worst_eq = max(worst_eq, abs(source_lp - out_lp))
-            y2 = encode_stream(wf_npf, tup).output
+            y2 = enc_npf.output[cuts_npf[t]:cuts_npf[t + 1]]
             out_lp2 = induced_npf.cylinder_log_probability(y2)
             if source_lp > out_lp2 + tol:
                 inequality_failures += 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class WordFunction:
     def lengths(self):
         return np.array([len(c) for c in self.codewords], dtype=np.int64)
 
+    @cached_property
+    def _flat_code(self):
+        """(all codewords concatenated, each codeword's start, its length)."""
+        lengths = self.lengths()
+        flat = np.array([s for c in self.codewords for s in c], dtype=np.int64)
+        return flat, np.cumsum(lengths) - lengths, lengths
+
     def config_dict(self):
         return {
             "input_alphabet": self.input_alphabet_size,
@@ -91,11 +99,10 @@ def word_function_from_config(config):
         if not word.isdigit():
             raise ConfigError(f"code[{i}] contains a non-digit character")
         codewords.append(tuple(int(ch) for ch in word))
-    try:
-        sizes = int(config["input_alphabet"]), int(config["output_alphabet"])
-    except (TypeError, ValueError):
+    sizes = config["input_alphabet"], config["output_alphabet"]
+    if not all(isinstance(v, int) for v in sizes):
         raise ConfigError("codebook 'input_alphabet' and 'output_alphabet' "
-                          "must be integers") from None
+                          "must be integers")
     return WordFunction(
         input_alphabet_size=sizes[0],
         output_alphabet_size=sizes[1],
@@ -161,16 +168,14 @@ def encode_stream(wf, symbols):
     boundaries[k] = zeta_k = |f(x_1)| + ... + |f(x_k)|, with zeta_0 = 0.
     """
     arr = as_symbols(symbols, wf.input_alphabet_size)
-    out = []
-    boundaries = np.empty(arr.size + 1, dtype=np.int64)
-    boundaries[0] = 0
-    pos = 0
-    for k, a in enumerate(arr):
-        cw = wf.codewords[a]
-        out.extend(cw)
-        pos += len(cw)
-        boundaries[k + 1] = pos
-    return EncodeResult(output=np.array(out, dtype=np.int64), boundaries=boundaries)
+    flat, starts, lengths = wf._flat_code
+    lens = lengths[arr]
+    boundaries = np.zeros(arr.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=boundaries[1:])
+    # output position zeta_k + j of codeword k reads flat[starts[x_k] + j]
+    offsets = np.repeat(starts[arr] - boundaries[:-1], lens)
+    output = flat[offsets + np.arange(boundaries[-1], dtype=np.int64)]
+    return EncodeResult(output=output, boundaries=boundaries)
 
 
 def _build_trie(wf):

@@ -35,6 +35,7 @@ from wordsource.experiments import (
     random_model_config,
     random_prefix_free_codebook,
 )
+from wordsource import oracles
 from wordsource.oracles import brute_force_induced_log_table
 from wordsource.sources import model_from_config
 
@@ -487,14 +488,54 @@ def test_oracle_never_imports_the_kernel():
     # the cross-check is independent only while the oracle shares no code
     # with the chain kernel
     source = Path(__file__).resolve().parent.parent / "src" / "wordsource" / "oracles.py"
-    imported = set()
+    imported, used = set(), set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
         elif isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
-    assert not imported & {"entropy", "InducedMeasure"}
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    # nor does it read tuples through the encoder or the sources' own cylinder sums
+    assert not imported & {"entropy", "InducedMeasure", "encode_stream"}
+    assert "cylinder_log_probability" not in used
+
+
+def test_oracle_exact_values():
+    # fair coin, {0, 10} at n = 2: 00 <- (0, 0), 01 <- (0, 1), 10 <- (1, *)
+    table = brute_force_induced_log_table(FAIR, WF, 2)
+    assert table.tolist() == [math.log(0.25), math.log(0.25), math.log(0.5), NEG_INF]
+
+
+def test_oracle_rejects_bad_input():
+    with pytest.raises(DomainError):
+        brute_force_induced_log_table(IIDSource([0.4, 0.3, 0.3]), WF, 2)
+    with pytest.raises(DomainError):
+        brute_force_induced_log_table(FAIR, WF, 0)
+    with pytest.raises(ResourceError):
+        brute_force_induced_log_table(FAIR, WF, 23)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_oracle_chunking_moves_no_cell(monkeypatch, chunk):
+    rng = np.random.default_rng(5)
+    models = [model_from_config(random_model_config(rng, 3, kind))
+              for kind in ("iid", "markov", "mixture")]
+    models.append(MixtureSource([0.3, 0.7], [IIDSource([0.2, 0.8]),
+                                             MarkovSource([[0.9, 0.1], [0.4, 0.6]], [1.0, 0.0])]))
+    models.append(MarkovSource([[0.0, 1.0], [0.5, 0.5]], [0.5, 0.5]))
+    cases = [(model, random_codebook(rng, model.alphabet_size, B, 3), n)
+             for model in models for B in (2, 3) for n in range(1, 6)]
+    whole = [brute_force_induced_log_table(*case) for case in cases]
+    monkeypatch.setattr(oracles, "ORACLE_CHUNK", chunk)
+    for case, ref in zip(cases, whole):
+        table = brute_force_induced_log_table(*case)
+        mask = ref > NEG_INF
+        assert np.array_equal(table > NEG_INF, mask)
+        assert np.abs(table[mask] - ref[mask]).max() <= 1e-14
 
 
 def _weights(size, positive=False):

@@ -242,6 +242,14 @@ def test_cli_induced_prob(capsys):
     (["induced-prob", "--model", json.dumps(RAGGED_MARKOV), "--codebook", CODEBOOK,
       "--block", "0"], "transition matrix"),
     (["check-prefix", "--codebook", json.dumps(BAD_SIZE_CODEBOOK)], "codebook 'input_alphabet'"),
+    # a size that is not an integer is rejected, never truncated or parsed
+    (["check-prefix", "--codebook", json.dumps({**BAD_SIZE_CODEBOOK, "input_alphabet": 2.7})],
+     "codebook 'input_alphabet'"),
+    (["check-prefix", "--codebook", json.dumps({**BAD_SIZE_CODEBOOK, "input_alphabet": "2"})],
+     "codebook 'input_alphabet'"),
+    (["check-prefix", "--codebook", json.dumps({**BAD_SIZE_CODEBOOK, "input_alphabet": 2,
+                                                "output_alphabet": 2.0})],
+     "codebook 'input_alphabet'"),
 ])
 def test_cli_malformed_model_or_codebook_exit_code(capsys, argv, message):
     assert main(argv) == 2

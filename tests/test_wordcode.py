@@ -89,6 +89,28 @@ def test_boundary_coherence_randomized():
             assert tuple(enc.output[lo:hi]) == wf.codewords[a]
 
 
+def _encode_reference(wf, symbols):
+    # the encoder's definition, one symbol at a time: concatenate codeword tuples
+    out, boundaries = [], [0]
+    for a in symbols:
+        out.extend(wf.codewords[a])
+        boundaries.append(len(out))
+    return out, boundaries
+
+
+@pytest.mark.parametrize("A", [2, 3, 4])
+def test_encode_matches_tuple_concatenation(A):
+    rng = np.random.default_rng(A)
+    for size in (0, 1, 37, 10**5):
+        wf = random_codebook(rng, A, int(rng.integers(2, 4)), 3)
+        x = rng.integers(0, A, size=size)
+        enc = encode_stream(wf, x)
+        out, boundaries = _encode_reference(wf, x.tolist())
+        assert enc.output.dtype == np.int64 and enc.boundaries.dtype == np.int64
+        assert enc.output.tolist() == out
+        assert enc.boundaries.tolist() == boundaries
+
+
 def test_zeta_growth_bounds():
     rng = np.random.default_rng(3)
     for _ in range(25):

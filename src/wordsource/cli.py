@@ -30,14 +30,7 @@ from .errors import (
     ResourceError,
     UnsupportedModelError,
 )
-from .harness import (
-    read_json,
-    resolve_config,
-    run_experiment,
-    validate_config,
-    write_table_csv,
-    write_table_jsonl,
-)
+from .harness import TABLE_WRITERS, read_json, resolve_config, run_experiment, validate_config
 from .shifts import TimeSubsequence, VariableLengthShiftSpec, bellow_check, variable_length_orbit
 from .sources import MixtureSource, model_from_config
 from .wordcode import (
@@ -75,8 +68,7 @@ def _symbols_arg(text):
 
 
 def _emit_table(path, columns, rows, fmt):
-    writer = write_table_jsonl if fmt == "jsonl" else write_table_csv
-    writer(path, columns, rows)
+    TABLE_WRITERS[fmt or "csv"](path, columns, rows)
     print(f"wrote {path}")
 
 
@@ -149,8 +141,10 @@ def cmd_entropy_trace(args):
 
 
 def _overrides(args, *keys):
-    """Config fields given on the command line; absent flags keep the config's."""
-    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    """Config fields given on the command line; absent flags keep the config's.
+    ``--model`` and ``--codebook`` are read as JSON, inline or from a file."""
+    overrides = {key: _json_arg(args, key) if key in ("model", "codebook") else getattr(args, key)
+                 for key in keys if getattr(args, key) is not None}
     if args.out:
         overrides["output_dir"] = args.out
     return overrides
@@ -169,11 +163,7 @@ def _run(config):
 
 
 def cmd_aep(args):
-    overrides = _overrides(args, "seed", "horizon", "paths", "format")
-    if args.model:
-        overrides["model"] = _json_arg(args, "model")
-    if args.codebook:
-        overrides["codebook"] = _json_arg(args, "codebook")
+    overrides = _overrides(args, "seed", "horizon", "paths", "format", "model", "codebook")
     # validated first, so a bad --model or --codebook is named by its JSON path
     config = resolve_config({"experiment": "aep-prefix-free", **overrides})
     model = model_from_config(config.model)
@@ -188,11 +178,7 @@ def cmd_aep(args):
 
 
 def cmd_conservation(args):
-    overrides = _overrides(args, "format")
-    if args.model:
-        overrides["model"] = _json_arg(args, "model")
-    if args.codebook:
-        overrides["codebook"] = _json_arg(args, "codebook")
+    overrides = _overrides(args, "format", "model", "codebook")
     if args.block_cap:
         overrides["params"] = {"block_cap": args.block_cap}
     return _run(resolve_config({"experiment": "conservation", **overrides}))

@@ -28,19 +28,19 @@ entropy-rate / expected-codeword-length). It runs as a finite automaton: a
 component's next vector and log increment depend only on (previous symbol,
 vector, symbol), so each step is taken once and stored on the measure's chain,
 keyed by that pair and symbol. The block tables behind H_n walk each
-component's tree of stored nodes depth first. One step helper does the float
-work, in a fixed order, for the scan and the table walk, so a stored step is
-bitwise the step recomputed; past the cap of MAX_INTERNED_NODES nodes per
-measure new steps are computed, not stored. The scales add the same
-increments in the same order, and one helper combines them into log q only
-where it is read: at a scan's checkpoints, or at the table's live cells.
-A source model's own law mu is the identity-codebook case, so its scans and
-tables run on this kernel too. Shifted cylinder
-probabilities q(T^-i [b]) = (start T^i) . r_b, for sources too, step the
-same chain's dense transition matrix. A measure builds its chain once, on
-first use, as one state layout over (component, a, k) that both the step
-tables and the dense matrix are read from; a source model keeps its
-identity-codebook measure, so its chain is built once per model.
+component's tree of stored nodes depth first. One method computes a step from
+the chain's own moves, in a fixed float order, for the scan and the table walk
+alike, so a stored step is bitwise the step recomputed; past the cap of
+MAX_INTERNED_NODES nodes per measure new steps are computed, not stored. The
+scales add the same increments in the same order, and one helper combines them
+into log q only where it is read: at a scan's checkpoints, or at the table's
+live cells. A source model's own law mu is the identity-codebook case, so its
+scans and tables run on this kernel too. Shifted cylinder probabilities
+q(T^-i [b]) = (start T^i) . r_b, for sources too, step the same chain's dense
+transition matrix. A measure builds its chain once, on first use, as one state
+layout over (component, a, k) that both the forward steps and the dense matrix
+are read from; a source model keeps its identity-codebook measure, so its
+chain is built once per model.
 """
 
 from __future__ import annotations
@@ -75,45 +75,22 @@ DEFAULT_ENUMERATION_CELLS = 2**20
 MAX_INTERNED_NODES = 2**16
 
 
-def _step(sources, states):
-    """One forward step from the states whose moves are ``sources`` to ``states``.
-
-    Returns (width, targets, leaks): new[i] is the sum of v[j] * w over
-    (j, w) in the target entry (i, terms), and a leak entry (j, w) is the
-    mass source j sends to states outside ``states``.
-    """
-    targets = {t: [] for t in states}
-    leaks = []
-    for j, reach in enumerate(sources):
-        lost = []
-        for t, p in reach:
-            if t in targets:
-                targets[t].append((j, p))
-            else:
-                lost.append(p)
-        if lost:
-            leaks.append((j, math.fsum(lost)))
-    return (len(states), tuple((i, tuple(targets[t])) for i, t in enumerate(states) if targets[t]),
-            tuple(leaks))
-
-
 class _Chain:
-    """The output chain of one measure, and the forms its users read.
+    """The output chain of one measure, and the forward nodes its scans walk.
 
     The states are (c, a, k) for every component c of positive weight, in
     component, input-symbol, then offset order, numbered from 0; state s
     emits ``emits[s]``, and ``moves[s]`` lists the (state, probability)
-    pairs one step reaches. ``starts`` holds (weight, log weight, moves of
-    the fresh start) per component.
-
-    ``log_weights[c]`` is component c's log weight, and ``tables[c][p][b]``
-    its step from the states emitting p (for p = B, its fresh start) to
-    those emitting b.
+    pairs one step reaches. Component c owns the states ``spans[c]``;
+    ``starts[c]`` holds its weight and the moves of its fresh start, and
+    ``log_weights[c]`` its log weight.
 
     A forward node is (key, next): key is (previous symbol, normalised vector
-    as a tuple); next[b] is None until the step on b is taken, then (successor
-    node, log increment), or () if the component dies there. ``roots`` holds
-    the fresh starts, key (B, (1.0,)); ``nodes[c]`` interns the others by key.
+    as a tuple), the vector held over the component's states that emit the
+    previous symbol, in state order; next[b] is None until the step on b is
+    taken, then (successor node, log increment), or () if the component dies
+    there. ``roots`` holds the fresh starts, key (B, (1.0,)); ``nodes[c]``
+    interns the others by key.
     """
 
     def __init__(self, model, word_function):
@@ -123,7 +100,7 @@ class _Chain:
             parts = [(1.0, 0.0, model)]
         codewords = word_function.codewords
         B = word_function.output_alphabet_size
-        emits, moves, self.starts, log_weights, tables = [], [], [], [], []
+        emits, moves, self.spans, self.starts, log_weights = [], [], [], [], []
         self.emits, self.moves = emits, moves
         for weight, log_weight, comp in parts:
             if not weight > 0.0:
@@ -139,40 +116,50 @@ class _Chain:
                 emits += cw
                 moves += [[(heads[a] + k, 1.0)] for k in range(1, len(cw))]
                 moves.append([(heads[t], p) for t, p in enumerate(rows[a]) if p > 0.0])
-            fresh = [(heads[t], p) for t, p in enumerate(first) if p > 0.0]
-            self.starts.append((weight, log_weight, fresh))
-            emitting = [[s for s in range(low, len(emits)) if emits[s] == b] for b in range(B)]
-            sources = [[moves[s] for s in states] for states in emitting] + [[fresh]]
+            self.spans.append(range(low, len(emits)))
+            self.starts.append((weight, [(heads[t], p) for t, p in enumerate(first) if p > 0.0]))
             log_weights.append(log_weight)
-            tables.append(tuple(tuple(_step(reach, states) for states in emitting)
-                                for reach in sources))
-        self.log_weights, self.tables = tuple(log_weights), tuple(tables)
-        self.roots = [((B, (1.0,)), [None] * B) for _ in tables]
-        self.nodes = [{} for _ in tables]
+        self.log_weights = tuple(log_weights)
+        self.roots = [((B, (1.0,)), [None] * B) for _ in self.spans]
+        self.nodes = [{} for _ in self.spans]
 
     def step(self, c, node, symbol):
         """Component c's forward step from ``node`` on ``symbol``, stored in
         the node unless the successor is new and the interning cap is full.
 
-        The float work is fixed (sums in table order, then the log increment,
-        then the division), so equal keys give bitwise equal successors.
+        Its sources are the component's states that emit the previous symbol
+        (after B, the fresh start) and its targets those that emit ``symbol``.
+        The float work is fixed: each target sums its terms in source order,
+        kept sums the targets in state order, each source adds to leak its
+        mass that moves to states emitting another symbol; then the log
+        increment, then the division. So equal keys give bitwise equal
+        successors.
         """
         (prev, v), nexts = node
-        width, targets, leaks = self.tables[c][prev][symbol]
-        new = [0.0] * width
+        span, emits, moves = self.spans[c], self.emits, self.moves
+        if prev == len(nexts):  # B: the fresh start
+            sources = [self.starts[c][1]]
+        else:
+            sources = [moves[s] for s in span if emits[s] == prev]
+        targets = {t: i for i, t in enumerate([s for s in span if emits[s] == symbol])}
+        new = [0.0] * len(targets)
+        leak = 0.0
+        for x, reach in zip(v, sources):
+            lost = []
+            for t, p in reach:
+                i = targets.get(t)
+                if i is None:
+                    lost.append(p)
+                else:
+                    new[i] += x * p
+            if lost:
+                leak += x * math.fsum(lost)
         kept = 0.0
-        for i, sources in targets:
-            x = 0.0
-            for j, w in sources:
-                x += v[j] * w
-            new[i] = x
+        for x in new:
             kept += x
         if kept == 0.0:
             nexts[symbol] = ()
             return ()
-        leak = 0.0
-        for j, w in leaks:
-            leak += v[j] * w
         inc = math.log1p(-leak) if leak < 0.5 else math.log(kept)
         key = (symbol, tuple([x / kept for x in new]))
         succ = self.nodes[c].get(key)
@@ -196,7 +183,7 @@ class _Chain:
             for t, p in reach:
                 matrix[s, t] = p
         start = np.zeros(len(self.emits))
-        for weight, _, fresh in self.starts:
+        for weight, fresh in self.starts:
             for t, p in fresh:
                 start[t] = weight * p
         return matrix, np.ascontiguousarray(matrix.T), start, np.array(self.emits)

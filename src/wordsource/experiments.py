@@ -29,7 +29,7 @@ from .ergodic import (
     ergodicity_spread,
     time_average,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .oracles import brute_force_induced_log_table
 from .shifts import (
     TimeSubsequence,
@@ -49,10 +49,6 @@ class ExperimentResult:
     passed: bool
     summary: dict
     tables: dict = field(default_factory=dict)
-
-    @property
-    def has_violation(self):
-        return bool(self.summary.get("violations", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +81,10 @@ def random_codebook(rng, input_size, output_size, max_len):
 
 def random_prefix_free_codebook(rng, input_size, output_size, max_len):
     """Random prefix-free codebook via a canonical assignment of random lengths."""
+    if input_size > output_size**max_len:
+        # even all-max_len lengths break Kraft's inequality, so no draw would fit
+        raise DomainError(f"{input_size} codewords of length <= {max_len} over {output_size} "
+                          f"symbols cannot satisfy Kraft's inequality")
     while True:
         lengths = rng.integers(1, max_len + 1, size=input_size)
         if sum(output_size ** -int(l) for l in lengths) <= 1.0 + 1e-12:

@@ -256,7 +256,7 @@ def resolve_config(raw):
         if not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerances.{key}: must be a positive number")
     fmt = merged.get("format", "csv")
-    if fmt not in ("csv", "jsonl"):
+    if fmt not in TABLE_WRITERS:
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")
 
     for key, default in (("model", FAIR_COIN), ("codebook", CODE_PREFIX_FREE)):
@@ -320,6 +320,10 @@ def write_table_jsonl(path, columns, rows):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+# table format -> writer; the format name is also the file extension
+TABLE_WRITERS = {"csv": write_table_csv, "jsonl": write_table_jsonl}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """What a run produced; wall time never reaches the result files."""
@@ -362,11 +366,9 @@ def run_experiment(config):
         json.dumps(summary_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     files.append(str(summary_path))
-    writer = write_table_csv if config.format == "csv" else write_table_jsonl
-    ext = "csv" if config.format == "csv" else "jsonl"
     for table_name, (columns, rows) in result.tables.items():
-        table_path = out_dir / f"{result.name}.{table_name}.{ext}"
-        writer(table_path, columns, rows)
+        table_path = out_dir / f"{result.name}.{table_name}.{config.format}"
+        TABLE_WRITERS[config.format](table_path, columns, rows)
         files.append(str(table_path))
     return RunManifest(
         experiment=result.name,

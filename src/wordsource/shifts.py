@@ -127,8 +127,10 @@ class VariableLengthShiftSpec:
             raise RangeError(
                 f"window needs {self.lookahead} symbols, got {arr.size}"
             )
-        return int(self.table[_window_codes(arr[: self.lookahead], self.alphabet_size,
-                                            self.lookahead)[0]])
+        code = 0
+        for s in arr[: self.lookahead].tolist():
+            code = code * self.alphabet_size + s
+        return int(self.table[code])
 
     def shift_values(self, symbols):
         """gamma at every position of ``symbols`` that has a full window."""

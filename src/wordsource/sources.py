@@ -159,35 +159,10 @@ def stationary_distribution(matrix, tol=1e-12, max_iter=10**6):
     )
 
 
-def _adjacency(P):
-    return P > 0.0
-
-
-def _is_irreducible(P):
-    """True iff the chain's transition graph is strongly connected."""
-    adj = _adjacency(P)
-    k = adj.shape[0]
-
-    def reach(adjm):
-        seen = np.zeros(k, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for v in np.nonzero(adjm[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    frontier.append(int(v))
-        return seen
-
-    return bool(reach(adj).all() and reach(adj.T).all())
-
-
-def _period(P):
-    """Period of an irreducible chain (gcd of cycle lengths through state 0)."""
-    adj = _adjacency(P)
-    k = adj.shape[0]
-    level = np.full(k, -1, dtype=np.int64)
+def _levels(adj):
+    """Breadth-first level of every state from state 0 along the boolean
+    adjacency ``adj``; -1 where state 0 does not reach."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
     level[0] = 0
     frontier = [0]
     while frontier:
@@ -198,14 +173,7 @@ def _period(P):
                     level[v] = level[u] + 1
                     nxt.append(int(v))
         frontier = nxt
-    g = 0
-    for u in range(k):
-        if level[u] < 0:
-            continue
-        for v in np.nonzero(adj[u])[0]:
-            if level[v] >= 0:
-                g = math.gcd(g, int(level[u] + 1 - level[v]))
-    return g if g > 0 else 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -422,13 +390,28 @@ class MarkovSource(SourceModel):
             out[start:start + chunk.size] = walk
         return out, None
 
+    @cached_property
+    def _graph(self):
+        """(irreducible, period) of the transition graph, from the breadth-first
+        levels from state 0. It is irreducible iff state 0 reaches every state
+        and every state reaches state 0 (levels on the transpose); its period
+        is then the gcd of level[u] + 1 - level[v] over the edges u -> v."""
+        adj = self.matrix > 0.0
+        level = _levels(adj)
+        if level.min() < 0 or _levels(adj.T).min() < 0:
+            return False, None
+        g = 0
+        for u, v in zip(*np.nonzero(adj)):
+            g = math.gcd(g, int(level[u] + 1 - level[v]))
+        return True, g
+
     def is_irreducible(self):
-        return _is_irreducible(self.matrix)
+        return self._graph[0]
 
     def period(self):
         if not self.is_irreducible():
             raise UnsupportedModelError("period is defined here only for irreducible chains")
-        return _period(self.matrix)
+        return self._graph[1]
 
     def stationary_start(self):
         """Same chain restarted from its stationary distribution."""
@@ -443,7 +426,7 @@ class MarkovSource(SourceModel):
             raise UnsupportedModelError(
                 "unsupported decomposition: transition graph is not irreducible"
             )
-        p = _period(self.matrix)
+        p = self.period()
         if p != 1:
             raise UnsupportedModelError(
                 f"unsupported decomposition: chain is periodic with period {p}"
@@ -483,7 +466,7 @@ class MixtureSource(SourceModel):
             if isinstance(comp, MarkovSource):
                 if not comp.is_irreducible():
                     raise ConfigError(f"component {idx}: Markov component is not irreducible")
-                if _period(comp.matrix) != 1:
+                if comp.period() != 1:
                     raise ConfigError(f"component {idx}: Markov component is periodic")
             elif not isinstance(comp, IIDSource):
                 raise ConfigError(f"component {idx}: unsupported component type")
@@ -524,12 +507,9 @@ class MixtureSource(SourceModel):
         return symbols, comp
 
     def ergodic_components(self):
-        out = []
-        for w, comp in zip(self.weights, self.components):
-            if isinstance(comp, MarkovSource):
-                comp = comp.stationary_start()
-            out.append((float(w), comp))
-        return out
+        # each component is ergodic, so it lists itself once, with weight 1
+        return [(float(w), part) for w, comp in zip(self.weights, self.components)
+                for _, part in comp.ergodic_components()]
 
     def entropy_rate_exact(self):
         return float(sum(w * c.entropy_rate_exact() for w, c in zip(self.weights, self.components)))

@@ -410,7 +410,7 @@ def test_kernel_zero_weight_mixture_component():
 
 def test_kernel_floats_pinned():
     # sha256 of the float64 bytes of long path scans, the block tables and the
-    # shift path: a change to the chain's layout or step tables must not move a bit
+    # shift path: a change to the chain's layout or forward step must not move a bit
     three = MarkovSource([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
                          [0.2, 0.5, 0.3])
     # {0, 01, 210} is not prefix-free
@@ -418,6 +418,17 @@ def test_kernel_floats_pinned():
     path = InducedMeasure(MIX, WF).sample_path(10**4, seed=17).symbols
     markov_mix = MixtureSource([0.3, 0.7], [MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0]),
                                             FAIR])
+    # edge cases of the step: zero transitions and a zero initial entry, a
+    # zero-weight component, and duplicate codewords (0 and 2 both give 02);
+    # four states emit 0, so the order of the kept sum shows in the trace
+    zeros = MarkovSource([[0.0, 0.7, 0.3], [0.4, 0.0, 0.6], [0.5, 0.5, 0.0]], [0.0, 1.0, 0.0])
+    edge = InducedMeasure(
+        MixtureSource([0.45, 0.0, 0.55],
+                      [zeros, IIDSource([0.2, 0.3, 0.5]),
+                       MarkovSource([[0.6, 0.4, 0.0], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]],
+                                    [0.2, 0.3, 0.5])]),
+        WordFunction(3, 3, ((0, 2), (0, 1, 0), (0, 2))))
+    edge_path = edge.sample_path(2000, seed=29).symbols
     outputs = [
         (block_log_probability_table(InducedMeasure(MIX, WF), 10),
          "a8dd984092f145d376ef0969725777eb7a69ff2a1daad7aafef2905a0e7bfaf2"),
@@ -429,6 +440,10 @@ def test_kernel_floats_pinned():
          "44b3da4ea557a6e3f7e3425ce67083b44a1d2957b0546f26d94a66c4eb028741"),
         (np.array([r.empirical_h for r in aep_experiment(three, wf3, 2000, 4, seed=7)]),
          "062918c82435644c07a7212653a0dabdfde513f7207b61f8a169c9c672ad61b7"),
+        (block_log_probability_table(edge, 6),
+         "8c4a337c2addc0249f34f3101ca944c80109acda5dd6741d9ba6ce3d565f5ba8"),
+        (sample_entropy_trace(edge, edge_path, range(1, 2001)).values,
+         "3698713089a4d3e8e98bb5f44953543a6346303b9dcab0a68eb379f032081366"),
     ]
     for values, digest in outputs:
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest

@@ -260,6 +260,21 @@ def test_ergodic_components_rejects_reducible():
         reducible.ergodic_components()
 
 
+def test_period_and_irreducibility_read_off_the_transition_graph():
+    two = MarkovSource([[0, 1], [1, 0]], [1, 0])
+    three = MarkovSource([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 0, 0])
+    # 0 -> 1 -> 0 and 0 -> 1 -> 2 -> 0: cycles of lengths 2 and 3 together
+    both = MarkovSource([[0, 1, 0], [0.5, 0, 0.5], [1, 0, 0]], [1, 0, 0])
+    loop = MarkovSource([[0.5, 0.5], [1, 0]], [1, 0])
+    assert [m.period() for m in (two, three, both, loop)] == [2, 3, 1, 1]
+    assert all(m.is_irreducible() for m in (two, three, both, loop))
+    # state 0 reaches every state, but no state leads back to it
+    one_way = MarkovSource([[0, 0.5, 0.5], [0, 0.5, 0.5], [0, 0.5, 0.5]], [1, 0, 0])
+    assert not one_way.is_irreducible()
+    with pytest.raises(UnsupportedModelError, match="irreducible"):
+        one_way.period()
+
+
 def test_stationary_distribution_solver():
     pi = stationary_distribution(np.array([[0.9, 0.1], [0.5, 0.5]]))
     assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-12)

@@ -55,6 +55,19 @@ def test_kraft_sum_diagnostic():
         assert kraft_sum(wf) <= 1.0 + 1e-12
 
 
+def test_random_prefix_free_codebook_rejects_infeasible_sizes():
+    # 3 binary codewords of length <= 1 have Kraft sum >= 3/2 whatever the
+    # draw, so drawing lengths until the sum is <= 1 would never stop
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="Kraft"):
+        random_prefix_free_codebook(rng, 3, 2, 1)
+    assert rng.bit_generator.state == state
+    # 4 = 2**2 is the edge that still fits: every codeword has length 2
+    wf = random_prefix_free_codebook(rng, 4, 2, 2)
+    assert sorted(wf.codewords) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def test_encode_concatenates_and_tracks_boundaries():
     enc = encode_stream(WF, [1, 0, 1])
     assert list(enc.output) == [1, 0, 0, 1, 0]

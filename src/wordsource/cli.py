@@ -243,7 +243,7 @@ def cmd_bellow(args):
     horizon = args.horizon
     zeta = np.arange(0, horizon + args.stride + 1, args.stride)
     ts = TimeSubsequence(zeta=zeta)
-    values = np.array([(-1.0) ** i for i in range(horizon)])
+    values = np.array([1.0, -1.0])[np.arange(horizon) % 2]
     checkpoints = default_checkpoints(horizon)
     rows = []
     for n in checkpoints:

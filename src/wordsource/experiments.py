@@ -18,7 +18,6 @@ from .entropy import (
     InducedMeasure,
     aep_experiment,
     block_log_probability_table,
-    component_bounds,
     conservation_report,
     induced_cylinder_log_probability,
 )
@@ -177,7 +176,7 @@ def run_dp_oracle(cfg):
 # experiments 2-4: AEP runs
 # ---------------------------------------------------------------------------
 
-def _aep_table(reports):
+def _aep_result(name, passed, summary, reports):
     columns = ["path", "component", "input_horizon", "output_horizon",
                "empirical_h", "bound", "verdict",
                "source_sample_entropy", "scaled_output_sample_entropy"]
@@ -187,79 +186,67 @@ def _aep_table(reports):
          repr(r.source_sample_entropy), repr(r.scaled_output_sample_entropy))
         for r in reports
     ]
-    return (columns, rows)
+    return ExperimentResult(name, passed, summary, {"paths": (columns, rows)})
 
 
-def _verdict_counts(reports):
-    counts = {"equality": 0, "strict_inequality": 0, "violation": 0}
-    for r in reports:
-        counts[r.verdict] += 1
-    return counts
-
-
-def run_aep_prefix_free(cfg):
+def _aep_runs(cfg):
+    """(model, codebook, equality tolerance, the reports of one ``aep_experiment``
+    call, the summary keys every AEP runner writes)."""
     model = model_from_config(cfg.model)
     wf = word_function_from_config(cfg.codebook)
     tol = float(cfg.tolerances["equality"])
     reports = aep_experiment(model, wf, cfg.horizon, cfg.paths, cfg.seed, tol=tol)
-    bounds = component_bounds(model, wf)
-    bound = bounds[0].bound
+    counts = {"equality": 0, "strict_inequality": 0, "violation": 0}
+    for r in reports:
+        counts[r.verdict] += 1
+    shared = {"paths": cfg.paths, "verdicts": counts, "violations": counts["violation"]}
+    return model, wf, tol, reports, shared
+
+
+def run_aep_prefix_free(cfg):
+    model, wf, tol, reports, shared = _aep_runs(cfg)
+    bound = reports[0].per_component[0].bound
     within = sum(abs(r.empirical_h - bound) <= tol for r in reports)
     cap = int(cfg.params["block_cap"])
     cons = conservation_report(model, wf, block_cap=cap)
     cond_tol = float(cfg.tolerances["conditional_entropy"])
-    counts = _verdict_counts(reports)
     passed = (
         within >= int(cfg.params["min_within"])
-        and counts["violation"] == 0
-        and counts["equality"] == len(reports)
+        and shared["violations"] == 0
+        and shared["verdicts"]["equality"] == len(reports)
         and abs(cons.empirical_entropy_rate - bound) <= cond_tol
     )
     summary = {
+        **shared,
         "bound": bound,
-        "paths": cfg.paths,
         "within_tolerance": within,
         "min_within": int(cfg.params["min_within"]),
-        "verdicts": counts,
-        "violations": counts["violation"],
         "conditional_block_entropy": cons.empirical_entropy_rate,
         "block_cap": cap,
         "equality_tolerance": tol,
         "conditional_tolerance": cond_tol,
-        "prefix_free": bool(is_prefix_free(wf)),
+        "prefix_free": reports[0].prefix_free,
     }
-    return ExperimentResult("aep-prefix-free", passed, summary,
-                            {"paths": _aep_table(reports)})
+    return _aep_result("aep-prefix-free", passed, summary, reports)
 
 
 def run_aep_non_prefix_free(cfg):
-    model = model_from_config(cfg.model)
-    wf = word_function_from_config(cfg.codebook)
-    tol = float(cfg.tolerances["equality"])
-    reports = aep_experiment(model, wf, cfg.horizon, cfg.paths, cfg.seed, tol=tol)
-    counts = _verdict_counts(reports)
+    _, _, _, reports, shared = _aep_runs(cfg)
     all_zero = all(r.empirical_h == 0.0 for r in reports)
-    bound = reports[0].bound
-    passed = all_zero and counts["strict_inequality"] == len(reports)
+    passed = all_zero and shared["verdicts"]["strict_inequality"] == len(reports)
     summary = {
-        "bound": bound,
-        "paths": cfg.paths,
+        **shared,
+        "bound": reports[0].bound,
         "all_sample_entropies_zero": all_zero,
-        "verdicts": counts,
-        "violations": counts["violation"],
-        "prefix_free": bool(is_prefix_free(wf)),
+        "prefix_free": reports[0].prefix_free,
     }
-    return ExperimentResult("aep-non-prefix-free", passed, summary,
-                            {"paths": _aep_table(reports)})
+    return _aep_result("aep-non-prefix-free", passed, summary, reports)
 
 
 def run_aep_mixture(cfg):
-    model = model_from_config(cfg.model)
-    wf = word_function_from_config(cfg.codebook)
-    tol = float(cfg.tolerances["equality"])
+    _, _, _, reports, shared = _aep_runs(cfg)
     cluster_tol = float(cfg.tolerances["cluster"])
     weight_tol = float(cfg.tolerances["cluster_weight"])
-    reports = aep_experiment(model, wf, cfg.horizon, cfg.paths, cfg.seed, tol=tol)
     bounds = [cb.bound for cb in reports[0].per_component]
     off_cluster = sum(
         abs(r.empirical_h - bounds[r.component_index]) > cluster_tol for r in reports
@@ -270,21 +257,17 @@ def run_aep_mixture(cfg):
     ]
     weights = [cb.weight for cb in reports[0].per_component]
     weights_ok = all(abs(s - w) <= weight_tol for s, w in zip(shares, weights))
-    counts = _verdict_counts(reports)
-    passed = off_cluster == 0 and weights_ok and counts["violation"] == 0
+    passed = off_cluster == 0 and weights_ok and shared["violations"] == 0
     summary = {
+        **shared,
         "component_bounds": bounds,
         "component_weights": weights,
         "cluster_shares": shares,
-        "paths": cfg.paths,
         "off_cluster_paths": off_cluster,
         "cluster_tolerance": cluster_tol,
         "weight_tolerance": weight_tol,
-        "verdicts": counts,
-        "violations": counts["violation"],
     }
-    return ExperimentResult("aep-mixture", passed, summary,
-                            {"paths": _aep_table(reports)})
+    return _aep_result("aep-mixture", passed, summary, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +454,10 @@ def run_coder_equivalence(cfg):
         else:
             horizon = int(np.exp(rng.uniform(np.log(100), np.log(max_horizon))))
         w = rng.integers(0, A, size=horizon + M + N + 1)
-        u = spec.shift_values(w)
+        u = spec.shift_values(w).tolist()
         pos, steps = 0, 0
         while pos <= horizon:
-            pos += int(u[pos])
+            pos += u[pos]
             steps += 1
         orbit = variable_length_orbit(spec, w, steps)
         xi, density = weight_sequence(orbit, horizon)
@@ -537,7 +520,7 @@ def run_bellow(cfg):
         reps = horizon // sum(gaps) + 2
         zeta = np.concatenate([[0], np.cumsum(np.tile(gaps, reps))])
         ts = TimeSubsequence(zeta=zeta)
-        r = np.array([r_vals[i % q] for i in range(horizon)])
+        r = np.array(r_vals)[np.arange(horizon) % q]
         partials = bellow_check(r, ts, horizon)
         limit = _periodic_case_limit(gaps, r_vals)
         err_limit = abs(partials.lhs - limit)
@@ -549,7 +532,7 @@ def run_bellow(cfg):
     # the constructed even / alternating case, with its partial-sum trace
     zeta = np.arange(0, horizon + 2, 2)
     ts = TimeSubsequence(zeta=zeta)
-    r = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(horizon)])
+    r = np.array([1.0, -1.0])[np.arange(horizon) % 2]
     trace_rows = []
     n = 10
     while n < horizon:

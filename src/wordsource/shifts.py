@@ -19,6 +19,7 @@ exists and is positive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -139,6 +140,11 @@ class VariableLengthShiftSpec:
         return self.table[codes]
 
 
+# codeword-driven specs for encoded_shift_commutes, built once per word
+# function; bounded, since one table may hold MAX_TABLE_SIZE entries
+_codebook_spec = functools.lru_cache(maxsize=16)(VariableLengthShiftSpec.from_codebook)
+
+
 @dataclass(frozen=True)
 class TimeSubsequence:
     """Orbit positions zeta with their indicator (weight) prefix.
@@ -178,18 +184,17 @@ def variable_length_orbit(spec, symbols, steps):
     if steps < 0:
         raise DomainError("steps must be >= 0")
     arr = as_symbols(symbols, spec.alphabet_size)
-    values = spec.shift_values(arr)
-    zeta = np.empty(steps + 1, dtype=np.int64)
-    zeta[0] = 0
+    values = spec.shift_values(arr).tolist()
+    zeta = [0]
     pos = 0
     for n in range(steps):
-        if pos >= values.size:
+        if pos >= len(values):
             raise RangeError(
                 f"input of length {arr.size} is too short: step {n} reads the "
                 f"window at position {pos}, needing length >= {pos + spec.lookahead}"
             )
-        pos += int(values[pos])
-        zeta[n + 1] = pos
+        pos += values[pos]
+        zeta.append(pos)
     return TimeSubsequence(zeta=zeta)
 
 
@@ -280,7 +285,7 @@ def encoded_shift_commutes(wf, symbols):
         raise DomainError("need at least one input symbol")
     from .wordcode import encode_stream  # local import to keep module load light
 
-    spec = VariableLengthShiftSpec.from_codebook(wf)
+    spec = _codebook_spec(wf)
     pad = np.concatenate([arr, np.zeros(spec.lookahead, dtype=np.int64)])
     y = encode_stream(wf, pad).output
     step = spec.shift_at(y[: spec.lookahead])

@@ -125,13 +125,14 @@ def _clamp_log_prob(lp):
     return lp
 
 
-def stationary_distribution(matrix, tol=1e-12, max_iter=10**6):
+def stationary_distribution(matrix):
     """Stationary row vector pi with pi @ P = pi and sum(pi) = 1.
 
-    Solves (P^T - I) pi = 0 with the normalisation row appended; falls back
-    to power iteration (tolerance ``tol``, capped at ``max_iter``) if the
-    direct solve misbehaves. The direct solve also covers periodic chains,
-    where power iteration would oscillate.
+    One solve of (P^T - I) pi = 0 with the last equation replaced by the
+    normalisation sum(pi) = 1; it covers periodic chains too, where power
+    iteration would oscillate. An irreducible chain makes the system
+    nonsingular, so a singular solve, an entry below -1e-10 or a residual
+    above 1e-9 raises UnsupportedModelError instead of returning a guess.
     """
     P = np.asarray(matrix, dtype=float)
     k = P.shape[0]
@@ -148,14 +149,9 @@ def stationary_distribution(matrix, tol=1e-12, max_iter=10**6):
         pi = pi / pi.sum()
         if np.max(np.abs(pi @ P - pi)) <= 1e-9:
             return pi
-    pi = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        nxt = pi @ P
-        if np.max(np.abs(nxt - pi)) < tol:
-            return nxt / nxt.sum()
-        pi = nxt
     raise UnsupportedModelError(
-        "stationary distribution did not converge; chain may be reducible or periodic"
+        "stationary solve is singular, has a negative entry or a residual above "
+        "1e-9; the chain is reducible or numerically degenerate"
     )
 
 
@@ -413,13 +409,12 @@ class MarkovSource(SourceModel):
             raise UnsupportedModelError("period is defined here only for irreducible chains")
         return self._graph[1]
 
-    def stationary_start(self):
-        """Same chain restarted from its stationary distribution."""
-        if not self.is_irreducible():
-            raise UnsupportedModelError(
-                "chain is not irreducible: no unique stationary distribution"
-            )
-        return MarkovSource(self.matrix, stationary_distribution(self.matrix))
+    @cached_property
+    def _stationary_law(self):
+        """(pi, this chain restarted from pi), solved once; callers check
+        irreducibility first."""
+        pi = stationary_distribution(self.matrix)
+        return pi, MarkovSource(self.matrix, pi)
 
     def ergodic_components(self):
         if not self.is_irreducible():
@@ -431,12 +426,12 @@ class MarkovSource(SourceModel):
             raise UnsupportedModelError(
                 f"unsupported decomposition: chain is periodic with period {p}"
             )
-        return [(1.0, self.stationary_start())]
+        return [(1.0, self._stationary_law[1])]
 
     def entropy_rate_exact(self):
         if not self.is_irreducible():
             raise UnsupportedModelError("entropy rate requires an irreducible chain")
-        pi = stationary_distribution(self.matrix)
+        pi = self._stationary_law[0]
         mask = self.matrix > 0
         logs = np.where(mask, np.log2(np.where(mask, self.matrix, 1.0)), 0.0)
         return float(-(pi[:, None] * self.matrix * logs).sum())

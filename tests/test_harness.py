@@ -256,6 +256,17 @@ def test_cli_malformed_model_or_codebook_exit_code(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_degenerate_chain_exits_as_input_error(tmp_path, capsys):
+    # irreducible and aperiodic by its graph, but its stationary solve fails;
+    # a guessed law would give a bound near 0 and a failed verdict (exit 1)
+    P = [[1 - 1e-17, 5e-18, 5e-18], [0.3, 0.3, 0.4], [1e-17, 0, 1 - 1e-17]]
+    model = json.dumps({"type": "markov", "P": P, "init": [1, 0, 0]})
+    codebook = '{"input_alphabet":3,"output_alphabet":2,"code":["0","10","11"]}'
+    assert main(["aep", "--model", model, "--codebook", codebook, "--paths", "2",
+                 "--horizon", "100", "--out", str(tmp_path / "out")]) == 2
+    assert "degenerate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["directory", "invalid-json-file", "checkpoints", "stride"])
 def test_cli_bad_argument_exit_code(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"

@@ -1,7 +1,9 @@
 """Variable-length shift orbits, weights, the orbit coder, density partial sums."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +267,21 @@ def test_codeword_boundary_density_matches_expected_length():
     orbit = variable_length_orbit(spec, y, steps)
     _, density = weight_sequence(orbit, horizon)
     assert abs(density - 1 / 1.5) < 0.02
+
+
+def test_orbit_coder_shares_no_code_with_the_orbit():
+    # criterion 08 checks that the orbit and the finite-state coder agree bit
+    # for bit; that is an identity only while the coder reads none of the
+    # orbit's machinery
+    source = Path(__file__).resolve().parent.parent / "src" / "wordsource" / "shifts.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    coder, = (node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "finite_state_orbit_coder")
+    used = set()
+    for node in ast.walk(coder):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & {"variable_length_orbit", "shift_values", "_window_codes",
+                       "TimeSubsequence"}

@@ -282,6 +282,48 @@ def test_stationary_distribution_solver():
     assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
 
 
+def test_stationary_distribution_raises_instead_of_guessing():
+    # the identity chain is reducible: the normalised system is singular, and
+    # no uniform guess comes back in place of a law
+    with pytest.raises(UnsupportedModelError, match="singular"):
+        stationary_distribution([[1, 0], [0, 1]])
+
+
+# irreducible and aperiodic by its graph, but 1 - 1e-17 rounds to 1.0, so the
+# stored rows do not sum to 1 exactly and the solve fails its residual check
+DEGENERATE = [[1 - 1e-17, 5e-18, 5e-18], [0.3, 0.3, 0.4], [1e-17, 0, 1 - 1e-17]]
+
+
+def test_numerically_degenerate_chain_has_no_entropy_rate():
+    chain = MarkovSource(DEGENERATE, [1, 0, 0])
+    assert chain.is_irreducible() and chain.period() == 1
+    with pytest.raises(UnsupportedModelError, match="numerically degenerate"):
+        chain.entropy_rate_exact()
+
+
+def test_markov_stationary_law_is_solved_once(monkeypatch):
+    from wordsource import sources
+    from wordsource.entropy import component_bounds
+    from wordsource.wordcode import WordFunction
+
+    solves = []
+    solve = sources.stationary_distribution
+    monkeypatch.setattr(sources, "stationary_distribution",
+                        lambda matrix: solves.append(1) or solve(matrix))
+    chain = MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])
+    wf = WordFunction(2, 2, ((0,), (1, 0)))
+    first = component_bounds(chain, wf)
+    # one solve for the chain, one for the chain restarted from its law
+    assert len(solves) <= 2
+    solves.clear()
+    assert component_bounds(chain, wf) == first
+    assert solves == []
+    parts = chain.ergodic_components()
+    # a fresh list on each call, holding the one cached restarted chain
+    assert parts is not chain.ergodic_components()
+    assert parts[0][1] is chain.ergodic_components()[0][1]
+
+
 # -- entropy rates ------------------------------------------------------------
 
 def test_entropy_rate_fair_coin():

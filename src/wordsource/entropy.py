@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import length_hint
 from typing import NamedTuple
 
 import numpy as np
@@ -197,30 +198,41 @@ def _log_q(chain, scales):
 
 
 def _scan(measure, symbols, checkpoints):
-    """log q at each sorted, distinct 1-based checkpoint the path reaches, and the
-    1-based position where it left the support (None if it never did).
+    """log q at each checkpoint the path reaches, and the 1-based position
+    where it left the support (None if it never did).
 
-    Each component walks the path alone; its scale is read at each checkpoint
-    it reaches alive, and the components are combined only there.
+    ``checkpoints`` must be sorted, distinct, 1-based and no larger than
+    ``len(symbols)``: a segment cut short by the end of the list would read as
+    reached. Each component walks the path alone, one segment between two
+    checkpoints at a time, and its scale is read at the end of each segment it
+    finishes alive; the components are combined only there. Segments change
+    only where the scale is read, not what it adds: each step's increment is
+    added in path order, as a walk that tests every position for a checkpoint
+    adds it, so every float keeps its bits. A component that dies on a symbol
+    stops there; the symbol's position is the segment's end minus what the
+    segment has left.
     """
     chain = measure._chain
-    symbols = symbols[:checkpoints[-1]]
     marks, deaths = [], []
     for c, node in enumerate(chain.roots):
-        scale, seen, cps = 0.0, [], iter(checkpoints)
-        cp = next(cps)
-        for pos, s in enumerate(symbols, 1):
-            out = node[1][s]
-            if out is None:
-                out = chain.step(c, node, s)
-            if not out:
-                deaths.append(pos)
-                break
-            node, inc = out
-            scale += inc
-            if pos == cp:
+        scale, seen, lo = 0.0, [], 0
+        for hi in checkpoints:
+            segment = iter(symbols[lo:hi])
+            for s in segment:
+                out = node[1][s]
+                if not out:  # None: the step is not stored yet; (): death
+                    if out is None:
+                        out = chain.step(c, node, s)
+                    if not out:
+                        deaths.append(hi - length_hint(segment))
+                        break
+                node, inc = out
+                scale += inc
+            else:
                 seen.append(scale)
-                cp = next(cps, 0)  # 0: no checkpoint left
+                lo = hi
+                continue
+            break
         marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
     # death is final, so the checkpoints some component reaches are a prefix
     lps = [_log_q(chain, scales) for scales in zip(*marks) if max(scales) > NEG_INF]

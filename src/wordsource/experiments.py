@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import (
+    DEFAULT_ENUMERATION_CELLS,
     InducedMeasure,
     aep_experiment,
     block_log_probability_table,
@@ -28,7 +29,7 @@ from .ergodic import (
     ergodicity_spread,
     time_average,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResourceError
 from .oracles import brute_force_induced_log_table
 from .shifts import (
     TimeSubsequence,
@@ -438,6 +439,8 @@ def run_coder_equivalence(cfg):
     p = cfg.params
     trials = int(p["trials"])
     max_horizon = cfg.horizon
+    if max_horizon < 100:  # trial horizons are drawn log-uniformly from [100, horizon]
+        raise ConfigError(f"horizon: must be >= 100 for coder-equivalence, got {max_horizon}")
     full_trials = int(p["full_horizon_trials"])
     rng = np.random.default_rng(cfg.seed)
     mismatches = 0
@@ -570,6 +573,12 @@ def run_log_identity(cfg):
     wf_pf = word_function_from_config(cfg.codebook)
     wf_npf = word_function_from_config(p["non_prefix_free_codebook"])
     max_len = int(p["max_tuple_length"])
+    tuples_at_max = model.alphabet_size**max_len
+    if tuples_at_max > DEFAULT_ENUMERATION_CELLS:
+        raise ResourceError(
+            f"log-identity enumerates {tuples_at_max} tuples of length {max_len}, "
+            f"over the cap of {DEFAULT_ENUMERATION_CELLS}"
+        )
     tol = float(cfg.tolerances["log_abs"])
     induced_pf = InducedMeasure(model, wf_pf)
     induced_npf = InducedMeasure(model, wf_npf)

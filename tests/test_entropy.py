@@ -478,6 +478,72 @@ def test_interned_nodes_stay_few():
     assert all(len(nodes) <= 16 for nodes in induced._chain.nodes)
 
 
+def _reference_scan(measure, symbols, checkpoints):
+    """A plain per-symbol walk: each component tests every position for a
+    checkpoint and reads every step, computing it on a miss."""
+    chain = measure._chain
+    symbols = symbols[:checkpoints[-1]]
+    marks, deaths = [], []
+    for c, node in enumerate(chain.roots):
+        scale, seen, cps = 0.0, [], iter(checkpoints)
+        cp = next(cps)
+        for pos, s in enumerate(symbols, 1):
+            out = node[1][s]
+            if out is None:
+                out = chain.step(c, node, s)
+            if not out:
+                deaths.append(pos)
+                break
+            node, inc = out
+            scale += inc
+            if pos == cp:
+                seen.append(scale)
+                cp = next(cps, 0)
+        marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
+    lps = [entropy._log_q(chain, scales) for scales in zip(*marks) if max(scales) > NEG_INF]
+    return lps, max(deaths) if len(deaths) == len(marks) else None
+
+
+@pytest.mark.parametrize("cap", [0, entropy.MAX_INTERNED_NODES])
+def test_scan_segment_edges_match_a_per_symbol_walk(monkeypatch, cap):
+    # the scan walks whole segments between checkpoints; a path that dies at
+    # position 1, on a checkpoint, just after one or inside the last segment
+    # gives the per-symbol walk's floats and death position, bit for bit
+    monkeypatch.setattr(entropy, "MAX_INTERNED_NODES", cap)
+    n, sparse = 40, [5, 17, 30, 40]
+    first_only = MixtureSource([0.25, 0.75], [IIDSource([1.0, 0.0]), IIDSource([0.4, 0.6])])
+    markov = MarkovSource([[0.7, 0.3], [0.6, 0.4]], [0.2, 0.8])
+    zeros = [0] * n
+
+    def with_ones(*positions):
+        path = list(zeros)
+        for p in positions:
+            path[p - 1] = 1
+        return path
+
+    cases = [
+        # {0, 00} emits only 0: a 1 kills every component where it stands
+        (FAIR, WF_ALL_ZERO, [with_ones(p) for p in (1, 17, 18, 37)]),
+        # {0, 10} never emits 11: the second 1 kills
+        (FAIR, WF, [with_ones(p - 1, p) for p in (17, 18, 37)] + [with_ones(3, 9, 22)]),
+        (markov, WF, [with_ones(4, 5), with_ones(29, 30), with_ones(1, 2, 7)]),
+        # the all-zero component dies at the first 1; the other lives on,
+        # unless an 11 kills it too
+        (first_only, WF, [with_ones(p) for p in (1, 5, 6, 39)]
+         + [with_ones(3, 17, 18), zeros]),
+    ]
+    seen_deaths = set()
+    for model, wf, paths in cases:
+        for path in paths:
+            for cps in (sparse, list(range(1, n + 1)), [n]):
+                got = _scan(InducedMeasure(model, wf), path, cps)
+                want = _reference_scan(InducedMeasure(model, wf), path, cps)
+                assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+                assert got[1] == want[1]
+                seen_deaths.add(got[1])
+    assert {None, 1, 17, 18, 37} <= seen_deaths
+
+
 def test_interning_cap_never_moves_a_bit_on_long_paths():
     path = InducedMeasure(MIX, WF).sample_path(10**4, seed=17).symbols
     three = MarkovSource([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],

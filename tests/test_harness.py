@@ -328,6 +328,34 @@ def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(failing)]) == 1
 
 
+def test_cli_log_identity_over_the_enumeration_cap_exits_as_resource_error(tmp_path, capsys):
+    # 2^21 binary tuples exceed the 2^20 cap: refused before any is built
+    out = tmp_path / "out"
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"experiment": "log-identity",
+                               "params": {"max_tuple_length": 21}}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "resource error: " in err and "2097152 tuples" in err and "1048576" in err
+    assert not out.exists() or not any(out.iterdir())
+
+    cfg.write_text(json.dumps({"experiment": "log-identity"}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_cli_coder_equivalence_short_horizon_exits_as_config_error(tmp_path, capsys):
+    # trial horizons are drawn from [100, horizon]; below 100 there is no range
+    cfg = tmp_path / "coder.json"
+    config = {"experiment": "coder-equivalence", "horizon": 99,
+              "params": {"trials": 20, "full_horizon_trials": 5}}
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "short")]) == 2
+    assert "config error: horizon" in capsys.readouterr().err
+
+    cfg.write_text(json.dumps({**config, "horizon": 100}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_cli_run_keeps_config_format(tmp_path, capsys):
     cfg = tmp_path / "jsonl.json"
     cfg.write_text(json.dumps({

@@ -31,7 +31,13 @@ from .errors import (
     UnsupportedModelError,
 )
 from .harness import TABLE_WRITERS, read_json, resolve_config, run_experiment, validate_config
-from .shifts import TimeSubsequence, VariableLengthShiftSpec, bellow_check, variable_length_orbit
+from .shifts import (
+    TimeSubsequence,
+    VariableLengthShiftSpec,
+    _periodic,
+    bellow_check,
+    variable_length_orbit,
+)
 from .sources import MixtureSource, model_from_config
 from .wordcode import (
     decode_prefix_free,
@@ -214,7 +220,7 @@ def cmd_vls_orbit(args):
     if args.codebook:
         wf = word_function_from_config(_json_arg(args, "codebook"))
         spec = VariableLengthShiftSpec.from_codebook(wf)
-    elif args.constant:
+    elif args.constant is not None:
         spec = VariableLengthShiftSpec.constant(args.alphabet, args.constant)
     else:
         raise ConfigError("vls-orbit needs --codebook or --constant")
@@ -243,7 +249,7 @@ def cmd_bellow(args):
     horizon = args.horizon
     zeta = np.arange(0, horizon + args.stride + 1, args.stride)
     ts = TimeSubsequence(zeta=zeta)
-    values = np.array([1.0, -1.0])[np.arange(horizon) % 2]
+    values = _periodic([1.0, -1.0], horizon)
     checkpoints = default_checkpoints(horizon)
     rows = []
     for n in checkpoints:

@@ -34,6 +34,7 @@ from .oracles import brute_force_induced_log_table
 from .shifts import (
     TimeSubsequence,
     VariableLengthShiftSpec,
+    _periodic,
     bellow_check,
     finite_state_orbit_coder,
     variable_length_orbit,
@@ -495,13 +496,10 @@ def _periodic_case_limit(gaps, r_values):
     span = int(sum(gaps))
     q = len(r_values)
     period = span * q // math.gcd(span, q)
-    xi = np.zeros(period, dtype=np.int64)
-    pos, gi = 0, 0
-    while pos < period:
-        xi[pos] = 1
-        pos += int(gaps[gi % len(gaps)])
-        gi += 1
-    r = np.array([r_values[i % q] for i in range(period)])
+    cycle = np.zeros(span)
+    cycle[np.cumsum([0, *gaps[:-1]])] = 1.0  # orbit positions in one gap cycle
+    xi = _periodic(cycle, period)
+    r = _periodic(r_values, period)
     return float((xi * r).sum() / period)
 
 
@@ -523,7 +521,7 @@ def run_bellow(cfg):
         reps = horizon // sum(gaps) + 2
         zeta = np.concatenate([[0], np.cumsum(np.tile(gaps, reps))])
         ts = TimeSubsequence(zeta=zeta)
-        r = np.array(r_vals)[np.arange(horizon) % q]
+        r = _periodic(r_vals, horizon)
         partials = bellow_check(r, ts, horizon)
         limit = _periodic_case_limit(gaps, r_vals)
         err_limit = abs(partials.lhs - limit)
@@ -535,7 +533,7 @@ def run_bellow(cfg):
     # the constructed even / alternating case, with its partial-sum trace
     zeta = np.arange(0, horizon + 2, 2)
     ts = TimeSubsequence(zeta=zeta)
-    r = np.array([1.0, -1.0])[np.arange(horizon) % 2]
+    r = _periodic([1.0, -1.0], horizon)
     trace_rows = []
     n = 10
     while n < horizon:

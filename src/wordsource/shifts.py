@@ -36,13 +36,23 @@ MAX_TABLE_SIZE = 2**20
 
 
 def _window_codes(symbols, alphabet_size, order):
-    """Base-|A| codes of all length-``order`` windows of ``symbols``."""
+    """Base-|A| codes of all length-``order`` windows, by Horner's rule (exact int64)."""
     arr = np.asarray(symbols, dtype=np.int64)
-    if arr.size < order:
+    count = arr.size - order + 1
+    if count < 1:
         return np.empty(0, dtype=np.int64)
-    win = np.lib.stride_tricks.sliding_window_view(arr, order)
-    powers = alphabet_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    return win @ powers
+    # a copy, so the in-place steps never write into the caller's array
+    codes = arr[:count].copy()
+    for j in range(1, order):
+        codes *= alphabet_size
+        codes += arr[j:j + count]
+    return codes
+
+
+def _periodic(values, n):
+    """The first ``n`` terms of ``values`` repeated periodically, as float64."""
+    values = np.asarray(values, dtype=float)
+    return np.tile(values, -(-n // values.size))[:n]
 
 
 @dataclass(frozen=True)
@@ -187,15 +197,16 @@ def variable_length_orbit(spec, symbols, steps):
     values = spec.shift_values(arr).tolist()
     zeta = [0]
     pos = 0
-    for n in range(steps):
-        if pos >= len(values):
-            raise RangeError(
-                f"input of length {arr.size} is too short: step {n} reads the "
-                f"window at position {pos}, needing length >= {pos + spec.lookahead}"
-            )
-        pos += values[pos]
-        zeta.append(pos)
-    return TimeSubsequence(zeta=zeta)
+    try:
+        for _ in range(steps):
+            pos += values[pos]
+            zeta.append(pos)
+    except IndexError:  # positions only grow: the walk ran off the end
+        raise RangeError(
+            f"input of length {arr.size} is too short: step {len(zeta) - 1} reads the "
+            f"window at position {pos}, needing length >= {pos + spec.lookahead}"
+        ) from None
+    return TimeSubsequence(zeta=np.fromiter(zeta, np.int64, len(zeta)))
 
 
 def weight_sequence(ts, horizon):
@@ -229,7 +240,7 @@ def finite_state_orbit_coder(lengths, horizon, max_shift=None):
             raise DomainError("length values must be >= 1")
         if max_shift is not None and u.max() > max_shift:
             raise DomainError(f"length values must be <= {max_shift}")
-    z = np.zeros(horizon, dtype=np.int64)
+    z = bytearray(horizon)
     state = 0
     ul = u.tolist()
     for i in range(horizon):
@@ -238,7 +249,7 @@ def finite_state_orbit_coder(lengths, horizon, max_shift=None):
             state = ul[i] - 1
         else:
             state -= 1
-    return z
+    return np.frombuffer(z, np.uint8).astype(np.int64)
 
 
 class BellowPartials(NamedTuple):

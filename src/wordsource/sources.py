@@ -107,6 +107,8 @@ def seed_sequence(seed):
     """Accept ints, entropy sequences, or an existing SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(seed)
 
 
@@ -244,7 +246,7 @@ class SourceModel:
         """Sample ``length`` symbols; identical seeds give identical paths."""
         if length < 1:
             raise DomainError("path length must be >= 1")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed_sequence(seed))
         symbols, component = self._sample(rng, length)
         return PathSample(symbols=symbols, seed=seed, model_id=self.model_id,
                           component_index=component)

@@ -391,6 +391,21 @@ def test_cli_vls_orbit(capsys):
     assert "zeta: 0,2,3,5,6" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy-trace", "--model", MODEL, "--horizon", "200"],
+    ["vls-orbit", "--constant", "2", "--model", MODEL, "--horizon", "50"],
+    ["ergodic-check", "--model", MODEL, "--paths", "2", "--horizon", "200"],
+])
+def test_cli_negative_seed_is_an_input_error(argv, capsys):
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_cli_vls_orbit_zero_constant_is_rejected_by_the_spec(capsys):
+    assert main(["vls-orbit", "--constant", "0", "--input", "0101"]) == 2
+    assert "max shift must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_entropy_trace(tmp_path, capsys):
     out_file = tmp_path / "trace.csv"
     assert main(["entropy-trace", "--model", MODEL, "--horizon", "200",

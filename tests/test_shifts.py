@@ -21,6 +21,7 @@ from wordsource import (
     weight_sequence,
 )
 from wordsource.experiments import _periodic_case_limit, random_prefix_free_codebook
+from wordsource.shifts import _window_codes
 
 
 def test_constant_one_is_left_shift():
@@ -45,8 +46,36 @@ def test_window_driven_orbit_hand_trace():
 
 def test_orbit_insufficient_input_reports_needed_length():
     spec = VariableLengthShiftSpec.constant(2, 3)
-    with pytest.raises(RangeError, match="length >= "):
+    with pytest.raises(RangeError) as exc:
         variable_length_orbit(spec, [0, 1, 0], 4)
+    assert str(exc.value) == ("input of length 3 is too short: step 1 reads the "
+                              "window at position 3, needing length >= 4")
+
+
+def _window_codes_by_matmul(symbols, alphabet_size, order):
+    """Reference: every window times the base-|A| place values."""
+    arr = np.asarray(symbols, dtype=np.int64)
+    if arr.size < order:
+        return np.empty(0, dtype=np.int64)
+    win = np.lib.stride_tricks.sliding_window_view(arr, order)
+    powers = alphabet_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    return win @ powers
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_window_codes_match_the_matmul_reference(alphabet, order):
+    rng = np.random.default_rng(100 * alphabet + order)
+    for length in (0, order - 1, order, order + 1, 257):
+        symbols = rng.integers(0, alphabet, size=length)
+        before = symbols.copy()
+        codes = _window_codes(symbols, alphabet, order)
+        expected = _window_codes_by_matmul(symbols, alphabet, order)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, expected)
+        # the caller's array is read, never written, and never handed back
+        assert np.array_equal(symbols, before)
+        assert not np.shares_memory(codes, symbols)
 
 
 def test_orbit_shift_identity_against_suffix_materialization():
@@ -102,6 +131,7 @@ def test_time_subsequence_validation():
 
 def test_orbit_coder_hand_trace():
     z = finite_state_orbit_coder([2, 9, 1, 3, 7, 8], 6)
+    assert z.dtype == np.int64
     assert list(z) == [1, 0, 1, 1, 0, 0]
 
 

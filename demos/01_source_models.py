@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from wordsource import IIDSource, MarkovSource, MixtureSource
+from wordsource import IIDSource, MarkovSource, MixtureSource, ams_diagnostic
 
 coin = IIDSource([0.5, 0.5])
 chain = MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])
@@ -24,9 +24,9 @@ print()
 print("== a periodic chain is AMS but not stationary ==")
 steps = [flip.shifted_cylinder_probability([0], i) for i in range(8)]
 print("per-step P(X_{i+1}=0):", steps, "... keeps oscillating")
-for n in (10, 100, 1000):
-    print(f"Cesaro average over {n:>4} shifts:",
-          flip.cesaro_cylinder_average([0], n))
+cesaro = ams_diagnostic(flip, [[0]], 1000, checkpoints=[10, 100, 1000])[0]
+for n, avg in zip(cesaro.checkpoints, cesaro.partial_averages):
+    print(f"Cesaro average over {n:>4} shifts:", avg)
 
 print()
 print("== the aperiodic chain forgets its start ==")

@@ -56,7 +56,6 @@ from .entropy import (
     block_log_probability_table,
     component_bounds,
     conservation_report,
-    induced_cylinder_log_probability,
     joint_entropy_exact,
     sample_entropy_trace,
 )

@@ -37,6 +37,7 @@ from .shifts import (
     _periodic,
     bellow_check,
     variable_length_orbit,
+    weight_sequence,
 )
 from .sources import MixtureSource, model_from_config
 from .wordcode import (
@@ -233,10 +234,9 @@ def cmd_vls_orbit(args):
         raise ConfigError("vls-orbit needs --input or --model")
     orbit = variable_length_orbit(spec, symbols, args.steps)
     print("zeta:", ",".join(map(str, orbit.zeta)))
-    horizon = int(orbit.zeta[-1]) + 1
-    xi = orbit.weight_prefix
+    xi, density = weight_sequence(orbit, orbit.horizon)
     print("xi:", "".join(map(str, xi)))
-    print(f"partial_density: {float(xi.sum() / horizon)!r}")
+    print(f"partial_density: {density!r}")
     if args.out:
         rows = [(int(n), int(z)) for n, z in enumerate(orbit.zeta)]
         _emit_table(args.out, ["n", "zeta_n"], rows, args.format)

@@ -56,7 +56,6 @@ import numpy as np
 from .ergodic import _trailing_spread
 from .errors import DomainError, RangeError, ResourceError
 from .sources import (
-    DEFAULT_MAX_SHIFT_STEPS,
     LN2,
     LOG_PROB_SLACK,
     NEG_INF,
@@ -72,6 +71,8 @@ from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_
 
 # Full block enumerations refuse to build more than this many cylinders.
 DEFAULT_ENUMERATION_CELLS = 2**20
+# A shifted cylinder probability steps the dense chain at most this many times.
+DEFAULT_MAX_SHIFT_STEPS = 10**7
 # A measure interns at most this many forward nodes; later ones are not stored.
 MAX_INTERNED_NODES = 2**16
 
@@ -330,11 +331,6 @@ class InducedMeasure:
             model_id=self.model_id,
             component_index=src.component_index,
         )
-
-
-def induced_cylinder_log_probability(model, word_function, symbols):
-    """log q(b^n) for the word-valued source of (model, word_function)."""
-    return InducedMeasure(model, word_function).cylinder_log_probability(symbols)
 
 
 def block_log_probability_table(measure, n):

@@ -20,7 +20,6 @@ from .entropy import (
     aep_experiment,
     block_log_probability_table,
     conservation_report,
-    induced_cylinder_log_probability,
 )
 from .ergodic import (
     CylinderFunction,
@@ -145,11 +144,12 @@ def run_dp_oracle(cfg):
                 continue
             if dp_mask.any():
                 pair_err = max(pair_err, float(np.abs(dp[dp_mask] - oracle[or_mask]).max()))
-            # spot-check the per-tuple entry point against the shared table
+            # spot-check the per-tuple entry point against the shared table, on a
+            # fresh measure whose chain the table walk never touched
             for _ in range(3):
                 code = int(rng.integers(0, B**n))
                 tup = [(code // B**i) % B for i in range(n - 1, -1, -1)]
-                direct = induced_cylinder_log_probability(model, wf, tup)
+                direct = InducedMeasure(model, wf).cylinder_log_probability(tup)
                 ref = float(dp[code])
                 if direct == NEG_INF or ref == NEG_INF:
                     spot_failures += direct != ref
@@ -320,14 +320,13 @@ def run_ams_markov(cfg):
     horizon = cfg.horizon
     cyl = [0]
     step_count = int(p["per_step_count"])
-    trace = periodic.shifted_cylinder_probability(cyl, np.arange(max(step_count, horizon)))
-    per_step = trace[:step_count].tolist()
+    per_step = periodic.shifted_cylinder_probability(cyl, np.arange(step_count)).tolist()
     expected_alternation = [1.0 if i % 2 == 0 else 0.0 for i in range(step_count)]
     alternates = per_step == expected_alternation
-    cps = default_checkpoints(horizon)
-    cesaro_periodic = np.cumsum(trace[:horizon])[cps - 1] / cps
+    periodic_trace = ams_diagnostic(periodic, [cyl], horizon)[0]
+    cps, cesaro_periodic = periodic_trace.checkpoints, periodic_trace.partial_averages
     periodic_ok = bool(np.all(np.abs(cesaro_periodic - 0.5) <= 1.0 / cps))
-    aper_final = aperiodic.cesaro_cylinder_average(cyl, horizon)
+    aper_final = ams_diagnostic(aperiodic, [cyl], horizon)[0].final
     aper_tol = float(cfg.tolerances["cesaro"])
     aper_ok = abs(aper_final - 5.0 / 6.0) <= aper_tol
     rows_step = [(i, repr(v)) for i, v in enumerate(per_step)]
@@ -372,10 +371,9 @@ def run_output_ergodicity(cfg):
     rows = []
     all_ok = True
     root = np.random.SeedSequence(cfg.seed)
-    named_models = list(p["models"].items())
+    named_models = [(name, model_from_config(mconf)) for name, mconf in p["models"].items()]
     children = root.spawn(len(named_models) + 2)
-    for (name, mconf), child in zip(named_models, children):
-        model = model_from_config(mconf)
+    for (name, model), child in zip(named_models, children):
         if battery_in is None or battery_in[0].alphabet_size != model.alphabet_size:
             battery_in = _indicator_battery(model.alphabet_size, int(p["max_order"]))
         for path_idx, path_seed in enumerate(child.spawn(int(p["battery_paths"]))):
@@ -399,8 +397,7 @@ def run_output_ergodicity(cfg):
     spread_rows = []
     g0 = CylinderFunction.indicator(wf.output_alphabet_size, [0])
     spreads_ok = True
-    for (name, mconf), child in zip(named_models, children):
-        model = model_from_config(mconf)
+    for (name, model), child in zip(named_models, children):
         induced = InducedMeasure(model, wf)
         sr = ergodicity_spread(induced, g0, int(p["spread_paths"]), horizon,
                                child.spawn(1)[0])

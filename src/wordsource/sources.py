@@ -8,12 +8,13 @@ Three model families are supported:
 
 Every model answers exact cylinder probabilities mu([a^n]) in natural-log
 space, samples reproducible paths from an explicit seed, evaluates shifted
-cylinder probabilities mu(T^-i [a^n]) and their Cesaro averages (the
-finite-horizon stationarity / AMS diagnostics), exposes its ergodic
-components, and reports its exact entropy rate in bits per symbol. Shifted
-probabilities have no per-family code: mu is the induced law under the
-identity codebook, so they are the induced measure's exact chain
-computation, as are the source's block tables and sample-entropy traces.
+cylinder probabilities mu(T^-i [a^n]), exposes its ergodic components, and
+reports its exact entropy rate in bits per symbol. Shifted probabilities
+have no per-family code: mu is the induced law under the identity codebook,
+so they are the induced measure's exact chain computation, as are the
+source's block tables and sample-entropy traces. Their Cesaro averages (the
+finite-horizon AMS diagnostic) come from ``ergodic.ams_diagnostic``, for
+sources and induced measures alike.
 
 Mixtures realise the ergodic decomposition extensionally: sampling draws one
 component per path and holds it fixed, so each realisation is governed by a
@@ -38,13 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError, UnsupportedModelError
+from .errors import ConfigError, DomainError, UnsupportedModelError
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
-
-# Guard for shifted / Cesaro horizon loops.
-DEFAULT_MAX_SHIFT_STEPS = 10**7
 
 # Sum tolerance accepted for probability vectors before renormalisation.
 PROB_SUM_TOL = 1e-9
@@ -225,22 +223,6 @@ class SourceModel:
         """
         return self._identity_measure.shifted_cylinder_probability(symbols, shift)
 
-    def cesaro_cylinder_average(self, symbols, horizon):
-        """(1/n) sum_{i<n} mu(T^-i [a^n]); convergence over n is the AMS diagnostic."""
-        if horizon < 1:
-            raise DomainError("horizon must be >= 1")
-        if horizon > DEFAULT_MAX_SHIFT_STEPS:
-            raise RangeError(
-                f"horizon {horizon} exceeds the cap of {DEFAULT_MAX_SHIFT_STEPS} steps")
-        if self.is_stationary():
-            # Shifted probabilities are all identical; the mean is exact.
-            return self.shifted_cylinder_probability(symbols, 0)
-        trace = self.shifted_cylinder_probability(symbols, np.arange(horizon))
-        return math.fsum(trace) / horizon
-
-    def is_stationary(self):
-        raise NotImplementedError
-
     # -- sampling ---------------------------------------------------------------
     def sample_path(self, length, seed):
         """Sample ``length`` symbols; identical seeds give identical paths."""
@@ -298,9 +280,6 @@ class IIDSource(SourceModel):
 
     def marginal_distribution(self):
         return self.distribution.copy()
-
-    def is_stationary(self):
-        return True
 
     def _sample(self, rng, length):
         return rng.choice(self.alphabet_size, size=length, p=self.distribution), None
@@ -360,9 +339,6 @@ class MarkovSource(SourceModel):
 
     def marginal_distribution(self):
         return self.initial.copy()
-
-    def is_stationary(self):
-        return bool(np.array_equal(self.initial @ self.matrix, self.initial))
 
     def _sample(self, rng, length):
         u = rng.random(length)
@@ -494,9 +470,6 @@ class MixtureSource(SourceModel):
         for w, comp in zip(self.weights, self.components):
             out += w * comp.marginal_distribution()
         return out
-
-    def is_stationary(self):
-        return all(c.is_stationary() for c in self.components)
 
     def _sample(self, rng, length):
         comp = int(rng.choice(len(self.components), p=self.weights))

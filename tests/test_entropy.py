@@ -25,7 +25,6 @@ from wordsource import (
     conservation_report,
     encode_stream,
     entropy,
-    induced_cylinder_log_probability,
     joint_entropy_exact,
     sample_entropy_trace,
 )
@@ -53,23 +52,23 @@ def binary_entropy(p):
 # -- induced cylinder probabilities ------------------------------------------
 
 def test_induced_single_symbol():
-    assert induced_cylinder_log_probability(FAIR, WF, [0]) == pytest.approx(
+    assert InducedMeasure(FAIR, WF).cylinder_log_probability([0]) == pytest.approx(
         math.log(0.5), abs=1e-15
     )
 
 
 def test_induced_two_symbols():
-    assert induced_cylinder_log_probability(FAIR, WF, [1, 0]) == pytest.approx(
+    assert InducedMeasure(FAIR, WF).cylinder_log_probability([1, 0]) == pytest.approx(
         math.log(0.5), abs=1e-15
     )
 
 
 def test_induced_no_preimage():
-    assert induced_cylinder_log_probability(FAIR, WF, [1, 1]) == NEG_INF
+    assert InducedMeasure(FAIR, WF).cylinder_log_probability([1, 1]) == NEG_INF
 
 
 def test_induced_non_prefix_free_all_zeros():
-    assert induced_cylinder_log_probability(FAIR, WF_ALL_ZERO, [0, 0]) == 0.0
+    assert InducedMeasure(FAIR, WF_ALL_ZERO).cylinder_log_probability([0, 0]) == 0.0
 
 
 def test_induced_alphabet_mismatch():

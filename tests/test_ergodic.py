@@ -106,6 +106,11 @@ def test_ams_diagnostic_periodic_vs_stationary():
                           np.full(verdicts[0].partial_averages.size, 0.5))
 
 
+def test_cesaro_markov_horizon():
+    verdict = ams_diagnostic(CHAIN, [[0]], 10**4)[0]
+    assert abs(verdict.final - 5 / 6) < 1e-3
+
+
 def test_ams_diagnostic_induced_exact():
     induced = InducedMeasure(FAIR, WF)
     verdict = ams_diagnostic(induced, [[0]], 1000)[0]

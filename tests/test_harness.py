@@ -356,6 +356,14 @@ def test_cli_coder_equivalence_short_horizon_exits_as_config_error(tmp_path, cap
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
 
 
+def test_cli_ams_markov_short_horizon_exits_as_input_error(tmp_path, capsys):
+    # the Cesaro traces come from ams_diagnostic, which needs horizon >= 100
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(CONFIG_DIR / "ams_markov.json"), "--out", str(out)]
+    assert main(argv + ["--horizon", "50"]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
 def test_cli_run_keeps_config_format(tmp_path, capsys):
     cfg = tmp_path / "jsonl.json"
     cfg.write_text(json.dumps({

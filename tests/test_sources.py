@@ -15,6 +15,7 @@ from wordsource import (
     MixtureSource,
     RangeError,
     UnsupportedModelError,
+    ams_diagnostic,
     model_from_config,
     stationary_distribution,
 )
@@ -191,28 +192,22 @@ def test_shifted_rejects_over_horizon():
         FAIR.shifted_cylinder_probability([0], 10**8)
 
 
-def test_cesaro_periodic_average():
-    val = PERIODIC.cesaro_cylinder_average([0], 1000)
-    assert abs(val - 0.5) <= 1e-3
-
-
 def test_cesaro_iid_equals_cylinder_probability():
-    for tup in ([0], [0, 1], [1, 1, 0]):
+    # tolerance 0.0 asks for bitwise equality
+    for tup, tol in (([0], 0.0), ([0, 1], 0.0), ([1, 1, 0], 1e-15)):
         p = math.exp(FAIR.cylinder_log_probability(tup))
-        assert FAIR.cesaro_cylinder_average(tup, 137) == p
-
-
-def test_cesaro_markov_horizon():
-    assert abs(CHAIN.cesaro_cylinder_average([0], 10**4) - 5 / 6) < 1e-3
+        partials = ams_diagnostic(FAIR, [tup], 137)[0].partial_averages
+        assert np.all(np.abs(partials - p) <= tol)
 
 
 def test_stationary_fixed_point_exact():
-    # init @ P reproduces init bitwise for this symmetric chain
+    # init @ P reproduces init bitwise for this symmetric chain, so the dense
+    # chain's forward vector repeats from shift 1 on and its cycle is replayed
     model = MarkovSource([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])
-    assert model.is_stationary()
-    p = model.shifted_cylinder_probability([0, 1], 0)
-    for n in (1, 3, 10, 997):
-        assert model.cesaro_cylinder_average([0, 1], n) == p
+    trace = model.shifted_cylinder_probability([0, 1], np.arange(997))
+    assert np.all(trace[1:] == trace[1])
+    partials = ams_diagnostic(model, [[0, 1]], 997, checkpoints=[1, 3, 10, 997])[0]
+    assert np.all(np.abs(partials.partial_averages - trace[0]) <= 1e-14)
 
 
 # -- decomposition ------------------------------------------------------------

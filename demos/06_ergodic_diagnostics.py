@@ -1,4 +1,4 @@
-"""Time averages, ergodicity spread, empirical components, AMS diagnostics.
+"""Time averages, ergodicity spread, cylinder frequencies, AMS diagnostics.
 
 The mixture is the negative control: its Cesaro averages converge (it is
 AMS, in fact stationary) while its cross-path time averages stay bimodal
@@ -15,7 +15,6 @@ from wordsource import (
     MixtureSource,
     WordFunction,
     ams_diagnostic,
-    empirical_component,
     encode_stream,
     ergodicity_spread,
     time_average,
@@ -60,10 +59,11 @@ print("per-step probabilities:", steps)
 print(f"Cesaro trace final {verdict.final:.4f}, converged={verdict.converged}")
 
 print()
-print("== empirical component of a single mixture path ==")
+print("== cylinder frequencies along a single mixture path ==")
+g00 = CylinderFunction.indicator(2, [0, 0])
 for seed in (0, 1, 2):
     path = mix.sample_path(20_001, seed)
-    emp = empirical_component(path.symbols, 2, 2, 20_000)
+    freq0 = time_average(path.symbols, g0, [20_000]).final
+    freq00 = time_average(path.symbols, g00, [20_000]).final
     print(f"seed {seed}: sampled component {path.component_index}, "
-          f"freq(0) = {emp.frequency([0]):.4f}, "
-          f"freq(00) = {emp.frequency([0, 0]):.4f}")
+          f"freq(0) = {freq0:.4f}, freq(00) = {freq00:.4f}")

@@ -62,11 +62,9 @@ from .entropy import (
 from .ergodic import (
     ConvergenceVerdict,
     CylinderFunction,
-    EmpiricalMeasure,
     SpreadResult,
     ams_diagnostic,
     default_checkpoints,
-    empirical_component,
     ergodicity_spread,
     time_average,
 )

@@ -186,7 +186,7 @@ def cmd_aep(args):
 
 def cmd_conservation(args):
     overrides = _overrides(args, "format", "model", "codebook")
-    if args.block_cap:
+    if args.block_cap is not None:
         overrides["params"] = {"block_cap": args.block_cap}
     return _run(resolve_config({"experiment": "conservation", **overrides}))
 

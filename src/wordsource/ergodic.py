@@ -1,11 +1,14 @@
-"""Time averages, empirical components, and AMS / ergodicity diagnostics.
+"""Time averages and AMS / ergodicity diagnostics.
 
 Bounded measurable functions are represented by finite-order cylinder
 functions g(w) = table[w_1 .. w_k]; this subclass generates the cylinder
 sigma-field and is enough to separate the hypotheses of interest at desk
-scale. All convergence verdicts are finite-horizon proxies: a trace of
-partial averages whose last-quartile spread falls under a tolerance. A small
-battery of such verdicts is evidence for, never a proof of, the almost-sure
+scale. A path's empirical frequency of a cylinder [b] is the time average of
+the indicator of [b], an exact integer count divided by the horizon.
+
+All convergence verdicts are finite-horizon proxies: a trace of partial
+averages whose last-quartile spread falls under a tolerance. A small battery
+of such verdicts is evidence for, never a proof of, the almost-sure
 statements they track.
 
 The AMS diagnostic's traces themselves are exact: for source models and
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ResourceError
+from .errors import DomainError, RangeError
 from .shifts import _window_codes
 from .sources import as_symbols, seed_sequence
 
@@ -35,16 +38,6 @@ def _trailing_spread(values):
         return 0.0
     tail = values[-max(2, -(-len(values) // 4)):]
     return float(max(tail) - min(tail))
-
-
-def _pattern_code(pattern, alphabet_size):
-    """Base-|A| code of a pattern of symbols."""
-    code = 0
-    for s in pattern:
-        if s < 0 or s >= alphabet_size:
-            raise DomainError(f"pattern symbol {s} outside the alphabet")
-        code = code * alphabet_size + s
-    return code
 
 
 @dataclass(frozen=True)
@@ -74,8 +67,13 @@ class CylinderFunction:
         """Indicator of the cylinder set [pattern]."""
         pattern = tuple(int(s) for s in pattern)
         order = len(pattern)
+        code = 0
+        for s in pattern:
+            if s < 0 or s >= alphabet_size:
+                raise DomainError(f"pattern symbol {s} outside the alphabet")
+            code = code * alphabet_size + s
         table = np.zeros(alphabet_size**order)
-        table[_pattern_code(pattern, alphabet_size)] = 1.0
+        table[code] = 1.0
         return cls(alphabet_size=alphabet_size, order=order, table=table)
 
     @classmethod
@@ -198,63 +196,3 @@ def ams_diagnostic(measure, cylinders, horizon, checkpoints=None, tol=1e-2):
         csum = np.cumsum(measure.shifted_cylinder_probability(cyl, shifts))
         out.append(_verdict(cps, csum[cps - 1] / cps, tol))
     return out
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Relative cylinder frequencies of one sequence, up to a maximum order.
-
-    Realises the per-sequence stationary measure construction: the table of
-    order k holds the frequency of every k-tuple among the first ``horizon``
-    windows. Counts share the window range, so marginalisation is exact
-    integer arithmetic.
-    """
-
-    alphabet_size: int
-    max_order: int
-    horizon: int
-    tables: tuple
-
-    def frequency(self, pattern):
-        pattern = tuple(int(s) for s in pattern)
-        order = len(pattern)
-        if order < 1 or order > self.max_order:
-            raise DomainError(f"pattern order must be in 1..{self.max_order}")
-        return float(self.tables[order - 1][_pattern_code(pattern, self.alphabet_size)])
-
-    def table(self, order):
-        return self.tables[order - 1].copy()
-
-
-def empirical_component(symbols, alphabet_size, max_order, horizon):
-    """Empirical stationary measure of one path: all cylinder frequencies.
-
-    Requires horizon >= 10 * alphabet**max_order windows (and a sequence long
-    enough that every window is complete, which keeps marginal consistency
-    exact).
-    """
-    if max_order < 1 or max_order > MAX_CYLINDER_ORDER:
-        raise DomainError(f"max order must be in 1..{MAX_CYLINDER_ORDER}")
-    arr = as_symbols(symbols, alphabet_size)
-    needed = 10 * alphabet_size**max_order
-    if horizon < needed:
-        raise ResourceError(
-            f"horizon {horizon} is too small: need at least {needed} windows "
-            f"for order {max_order} over alphabet {alphabet_size}"
-        )
-    if arr.size < horizon + max_order - 1:
-        raise RangeError(
-            f"sequence of length {arr.size} cannot supply {horizon} windows of "
-            f"order {max_order}"
-        )
-    tables = []
-    for order in range(1, max_order + 1):
-        codes = _window_codes(arr, alphabet_size, order)[:horizon]
-        counts = np.bincount(codes, minlength=alphabet_size**order)
-        tables.append(counts / horizon)
-    return EmpiricalMeasure(
-        alphabet_size=alphabet_size,
-        max_order=max_order,
-        horizon=horizon,
-        tables=tuple(tables),
-    )

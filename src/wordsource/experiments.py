@@ -389,8 +389,7 @@ def run_output_ergodicity(cfg):
                 time_average(out_syms, g, cps, tol=conv_tol).converged
                 for g in battery_out
             )
-            implication = output_conv or not source_conv
-            all_ok = all_ok and source_conv and output_conv and implication
+            all_ok = all_ok and source_conv and output_conv
             rows.append((name, path_idx, int(source_conv), int(output_conv)))
     # cross-path spread on the encoded side; the deterministic periodic chain
     # gives identical paths, so it sits at spread 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -253,8 +254,11 @@ def resolve_config(raw):
         paths = _require_int(paths, "paths", minimum=1)
     tolerances = merged["tolerances"]
     for key, value in tolerances.items():
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerances.{key}: must be a positive number")
+        # json reads NaN and Infinity, and a bool is an int
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf):
+            raise ConfigError(f"tolerances.{key}: must be a positive finite number, "
+                              f"got {value!r}")
     fmt = merged.get("format", "csv")
     if fmt not in TABLE_WRITERS:
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")

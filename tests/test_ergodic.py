@@ -1,4 +1,4 @@
-"""Time averages, spread diagnostics, empirical components, AMS traces."""
+"""Time averages and cylinder frequencies, spread diagnostics, AMS traces."""
 
 import math
 
@@ -13,12 +13,10 @@ from wordsource import (
     MarkovSource,
     MixtureSource,
     RangeError,
-    ResourceError,
     WordFunction,
     ams_diagnostic,
     bellow_check,
     default_checkpoints,
-    empirical_component,
     encode_stream,
     ergodicity_spread,
     time_average,
@@ -42,6 +40,12 @@ def test_cylinder_function_validation():
     g = CylinderFunction.indicator(2, [1, 0])
     assert g.bound == 1.0
     assert list(g.values_along([1, 0, 0, 1, 0])) == [1.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("pattern", [[2], [0, -1]])
+def test_indicator_rejects_symbols_outside_the_alphabet(pattern):
+    with pytest.raises(DomainError, match="outside the alphabet"):
+        CylinderFunction.indicator(2, pattern)
 
 
 def test_time_average_periodic_sequence():
@@ -142,47 +146,45 @@ def test_ams_diagnostic_checkpoint_guard(checkpoints):
         ams_diagnostic(FAIR, [[0]], 100, checkpoints=checkpoints)
 
 
-def test_empirical_component_fair_coin_pairs():
+def _frequency(symbols, pattern, horizon):
+    """Relative frequency of [pattern] among the first ``horizon`` windows."""
+    g = CylinderFunction.indicator(2, pattern)
+    return time_average(symbols, g, [horizon]).final
+
+
+def test_cylinder_frequency_fair_coin_pairs():
     path = FAIR.sample_path(10**5 + 1, seed=5)
-    emp = empirical_component(path.symbols, 2, 2, 10**5)
     for pattern in ([0, 0], [0, 1], [1, 0], [1, 1]):
-        assert abs(emp.frequency(pattern) - 0.25) < 0.01
+        assert abs(_frequency(path.symbols, pattern, 10**5) - 0.25) < 0.01
 
 
-def test_empirical_component_mixture_path():
+def test_cylinder_frequency_mixture_path():
     path = None
     for seed in range(20):
         candidate = MIX.sample_path(10**4 + 1, seed)
         if candidate.component_index == 1:
             path = candidate
             break
-    emp = empirical_component(path.symbols, 2, 1, 10**4)
-    assert abs(emp.frequency([0]) - 0.9) < 0.01
+    assert abs(_frequency(path.symbols, [0], 10**4) - 0.9) < 0.01
 
 
-def test_empirical_component_deterministic_alternation():
+def test_cylinder_frequency_deterministic_alternation():
     w = np.tile([0, 1], 501)
-    emp = empirical_component(w, 2, 1, 1000)
-    assert emp.frequency([0]) == 0.5
-    assert emp.frequency([1]) == 0.5
+    assert _frequency(w, [0], 1000) == 0.5
+    assert _frequency(w, [1], 1000) == 0.5
 
 
-def test_empirical_component_marginal_consistency_exact():
+def test_cylinder_frequency_marginal_consistency_exact():
+    # every order shares the same window range, so the integer counts add up
     path = FAIR.sample_path(10**4 + 3, seed=9)
-    emp = empirical_component(path.symbols, 2, 3, 10**4)
+
+    def freq(pattern):
+        return _frequency(path.symbols, pattern, 10**4)
+
     for a in range(2):
         for b in range(2):
-            assert emp.frequency([a, b]) == (
-                emp.frequency([a, b, 0]) + emp.frequency([a, b, 1])
-            )
-        assert emp.frequency([a]) == emp.frequency([a, 0]) + emp.frequency([a, 1])
-
-
-def test_empirical_component_guards():
-    with pytest.raises(ResourceError):
-        empirical_component([0, 1] * 10, 2, 2, 15)
-    with pytest.raises(RangeError):
-        empirical_component([0, 1] * 25, 2, 2, 50)
+            assert freq([a, b]) == freq([a, b, 0]) + freq([a, b, 1])
+        assert freq([a]) == freq([a, 0]) + freq([a, 1])
 
 
 def test_negative_control_mixture_fails_spread_passes_ams():

@@ -1,6 +1,7 @@
 """Config validation, experiment dispatch, result determinism, CLI exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,18 @@ def test_unknown_tolerance_rejected_with_field_name(tmp_path, capsys):
                                "output_dir": str(tmp_path / "out")}))
     assert main(["run", "--config", str(cfg)]) == 2
     assert "tolerances.equalty: not a tolerance of aep-prefix-free" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf])
+def test_boolean_or_non_finite_tolerance_rejected(tmp_path, capsys, value):
+    # json writes and reads NaN and Infinity; true would run as tolerance 1.0
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": "dp-oracle", "seed": 0,
+                               "tolerances": {"log_abs": value},
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "tolerances.log_abs: must be a positive finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -487,6 +500,13 @@ def test_cli_conservation_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "experiment: conservation" in out
     assert (tmp_path / "conservation.summary.json").exists()
+
+
+def test_cli_conservation_block_cap_zero_is_a_config_error(tmp_path, capsys):
+    # a zero cap must reach validation, not fall back to the default cap
+    assert main(["conservation", "--block-cap", "0", "--out", str(tmp_path / "out")]) == 2
+    assert "params.block_cap: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_ams_check_source_and_induced(tmp_path, capsys):

@@ -5,7 +5,8 @@ thin wrappers over the library. ``run`` executes a named, config-driven
 experiment and writes CSV/JSON results.
 
 Exit codes: 0 pass, 1 experiment verdict failure, 2 config or input error,
-3 resource-cap breach, 4 internal error (a fault in the package itself).
+3 resource-cap breach, 4 internal error (a fault in the package itself),
+141 stdout closed early by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _json_arg(args, key):
@@ -126,7 +128,7 @@ def _measure(args):
 def cmd_entropy_trace(args):
     measure = _measure(args)
     path = measure.sample_path(args.horizon, args.seed)
-    if args.checkpoints:
+    if args.checkpoints is not None:
         try:
             cps = [int(c) for c in args.checkpoints.split(",")]
         except ValueError:
@@ -208,7 +210,7 @@ def cmd_ams_check(args):
 
 def cmd_ergodic_check(args):
     measure = _measure(args)
-    pattern = _symbols_arg(args.pattern) if args.pattern else [0]
+    pattern = _symbols_arg(args.pattern) if args.pattern is not None else [0]
     g = CylinderFunction.indicator(measure.alphabet_size, pattern)
     sr = ergodicity_spread(measure, g, args.paths, args.horizon, args.seed)
     print(f"paths: {args.paths}")
@@ -378,6 +380,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
+        sys.stdout.flush()  # inside the try, so a reader gone at the last write is caught
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point it at devnull so the
+        # interpreter's own flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG

@@ -116,15 +116,15 @@ def _verdict(checkpoints, partials, tol):
     )
 
 
-def default_checkpoints(horizon, count=32):
-    """Evenly spaced horizons ending exactly at ``horizon``.
+def default_checkpoints(horizon):
+    """At most 32 evenly spaced horizons, ending exactly at ``horizon``.
 
     Even spacing keeps the last-quartile convergence window anchored to the
     top quarter of the horizon range.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
-    pts = np.unique(np.linspace(1, horizon, num=min(count, horizon)).astype(np.int64))
+    pts = np.unique(np.linspace(1, horizon, num=min(32, horizon)).astype(np.int64))
     pts[-1] = horizon
     return pts
 

@@ -54,7 +54,7 @@ EXPERIMENT_DEFAULTS = {
         "horizon": 10_000,
         "paths": 100,
         "tolerances": {"equality": 0.02, "conditional_entropy": 0.01},
-        "params": {"block_cap": 14, "min_within": 95},
+        "params": {"block_cap": 14},
     },
     "aep-non-prefix-free": {
         "seed": 42,
@@ -71,7 +71,7 @@ EXPERIMENT_DEFAULTS = {
         "codebook": CODE_PREFIX_FREE,
         "horizon": 10_000,
         "paths": 200,
-        "tolerances": {"equality": 0.03, "cluster": 0.03, "cluster_weight": 0.1},
+        "tolerances": {"equality": 0.03, "cluster_weight": 0.1},
         "params": {},
     },
     "conservation": {
@@ -241,8 +241,8 @@ def resolve_config(raw):
     for key, value in raw.get("params", {}).items():
         default = defaults["params"][key]
         if isinstance(default, int) and not isinstance(default, bool):
-            # every integer parameter counts something; min_within may be 0
-            _require_int(value, f"params.{key}", minimum=0 if key == "min_within" else 1)
+            # every integer parameter counts something
+            _require_int(value, f"params.{key}", minimum=1)
         _check_spec(value, default, f"params.{key}")
 
     seed = _require_int(merged.get("seed"), "seed", minimum=0)
@@ -336,7 +336,6 @@ class RunManifest:
     config_hash: str
     artifact_version: str
     passed: bool
-    verdicts: dict
     wall_time_s: float
     output_files: tuple
 
@@ -379,7 +378,6 @@ def run_experiment(config):
         config_hash=config.config_hash,
         artifact_version=__version__,
         passed=result.passed,
-        verdicts={result.name: result.passed},
         wall_time_s=elapsed,
         output_files=tuple(files),
     )

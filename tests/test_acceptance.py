@@ -60,13 +60,12 @@ def test_criterion_02_prefix_free_equality(tmp_path):
     ok = (
         manifest.passed
         and abs(summary["bound"] - 2 / 3) < 1e-12
-        and summary["within_tolerance"] >= 95
         and summary["paths"] == 100
         and abs(summary["conditional_block_entropy"] - 2 / 3) <= 0.01
         and summary["verdicts"]["equality"] == 100
     )
     report(2, ok,
-           f"bound 2/3, {summary['within_tolerance']}/100 paths within 0.02, "
+           f"bound 2/3, {summary['verdicts']['equality']}/100 paths within 0.02, "
            f"H14-H13 = {summary['conditional_block_entropy']:.5f}")
 
 
@@ -91,7 +90,7 @@ def test_criterion_04_mixture_per_component_clusters(tmp_path):
         manifest.passed
         and summary["paths"] == 200
         and all(abs(b - e) < 1e-12 for b, e in zip(bounds, expected))
-        and summary["off_cluster_paths"] == 0
+        and summary["verdicts"]["equality"] == 200
         and all(abs(s - 0.5) <= 0.1 for s in summary["cluster_shares"])
     )
     report(4, ok,

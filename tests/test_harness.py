@@ -2,18 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from wordsource import ConfigError
 from wordsource.cli import main
+from wordsource.entropy import conservation_report
 from wordsource.harness import (
     EXPERIMENT_DEFAULTS,
     resolve_config,
     run_experiment,
     validate_config,
 )
+from wordsource.sources import model_from_config
+from wordsource.wordcode import word_function_from_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -126,13 +132,21 @@ def test_boolean_or_non_finite_tolerance_rejected(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_min_within_may_be_zero():
-    cfg = resolve_config({"experiment": "aep-prefix-free", "seed": 0,
-                          "params": {"min_within": 0}})
-    assert cfg.params == {"block_cap": 14, "min_within": 0}
-    with pytest.raises(ConfigError, match="params.min_within: must be >= 0"):
-        resolve_config({"experiment": "aep-prefix-free", "seed": 0,
-                        "params": {"min_within": -1}})
+@pytest.mark.parametrize("experiment, section, key, value, message", [
+    ("aep-prefix-free", "params", "min_within", 95,
+     "params.min_within: not a parameter of aep-prefix-free"),
+    ("aep-mixture", "tolerances", "cluster", 0.03,
+     "tolerances.cluster: not a tolerance of aep-mixture"),
+])
+def test_second_aep_verdict_keys_rejected(tmp_path, capsys, experiment, section, key, value,
+                                          message):
+    # each AEP path is judged once, by aep_experiment at the equality tolerance
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "seed": 0, section: {key: value},
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_internal_fault_exit_code(monkeypatch, capsys):
@@ -280,7 +294,8 @@ def test_cli_degenerate_chain_exits_as_input_error(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["directory", "invalid-json-file", "checkpoints", "stride"])
+@pytest.mark.parametrize("case", ["directory", "invalid-json-file", "checkpoints", "stride",
+                                  "empty-checkpoints", "empty-pattern"])
 def test_cli_bad_argument_exit_code(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -290,6 +305,13 @@ def test_cli_bad_argument_exit_code(tmp_path, capsys, case):
                                "--block", "0"], "--model"),
         "checkpoints": (["entropy-trace", "--model", MODEL, "--horizon", "10",
                          "--checkpoints", "1,x"], "--checkpoints"),
+        # an empty value is rejected, not replaced by the default
+        "empty-checkpoints": (["entropy-trace", "--model", MODEL, "--horizon", "10",
+                               "--checkpoints", ""],
+                              "--checkpoints must be comma-separated integers, got ''"),
+        "empty-pattern": (["ergodic-check", "--model", MODEL, "--paths", "2",
+                           "--horizon", "10", "--pattern", ""],
+                          "expected a string of digit symbols, got ''"),
         "stride": (["bellow", "--stride", "0"], "--stride"),
     }[case]
     assert main(argv) == 2
@@ -334,7 +356,7 @@ def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     failing.write_text(json.dumps({
         "experiment": "aep-prefix-free", "seed": 0, "horizon": 200, "paths": 4,
         "codebook": {"input_alphabet": 2, "output_alphabet": 2, "code": ["0", "00"]},
-        "params": {"block_cap": 8, "min_within": 4},
+        "params": {"block_cap": 8},
         "output_dir": str(tmp_path / "out2"),
     }))
     capsys.readouterr()
@@ -469,13 +491,35 @@ def test_cli_aep_dispatches_on_codebook_and_model(tmp_path, capsys):
         "components": [{"type": "iid", "dist": [0.5, 0.5]},
                        {"type": "iid", "dist": [0.9, 0.1]}],
     })
-    # dispatch matters here; a run this short may fail its cluster verdicts
+    # dispatch matters here; a run this short may fail its per-path verdicts
     code = main([
         "aep", "--model", mixture, "--horizon", "3000", "--paths", "10",
         "--seed", "7", "--out", str(tmp_path),
     ])
     assert code in (0, 1)
     assert "experiment: aep-mixture" in capsys.readouterr().out
+
+
+def test_cli_aep_passes_with_fewer_than_95_paths(tmp_path, capsys):
+    # a passing run needs every path's verdict to be equality, however many paths
+    assert main(["aep", "--paths", "20", "--out", str(tmp_path)]) == 0
+    assert "passed: True" in capsys.readouterr().out
+
+
+def test_aep_prefix_free_mixture_judges_each_path_by_its_component(tmp_path):
+    # component 0's bound 2/3 is not the second component's: each path is judged
+    # against its own component, and the block-entropy check against the integral
+    model = {"type": "mixture", "weights": [0.5, 0.5],
+             "components": [{"type": "iid", "dist": [0.5, 0.5]},
+                            {"type": "iid", "dist": [0.6, 0.4]}]}
+    cfg = resolve_config({"experiment": "aep-prefix-free", "seed": 42, "paths": 20,
+                          "model": model, "output_dir": str(tmp_path)})
+    assert run_experiment(cfg).passed
+    summary = json.loads((tmp_path / "aep-prefix-free.summary.json").read_text())["summary"]
+    cons = conservation_report(model_from_config(model), word_function_from_config(cfg.codebook),
+                               block_cap=14)
+    assert summary["bound"] == cons.integral_bound
+    assert summary["verdicts"]["equality"] == 20
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -536,3 +580,19 @@ def test_cli_entropy_trace_induced(capsys):
     assert "limit_estimate" in out
     final = float(out.strip().splitlines()[-2].split(",")[1])
     assert abs(final - 2 / 3) < 0.05
+
+
+def test_cli_closed_stdout_exits_141_without_a_traceback():
+    # the reader of a long output goes away (``| head -c 100``): SIGPIPE's
+    # status, not an internal error
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wordsource.cli", "vls-orbit", "--constant", "1",
+         "--steps", "100000", "--horizon", "200000", "--model", MODEL],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141, err
+    assert "internal error" not in err and "Traceback" not in err

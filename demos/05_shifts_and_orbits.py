@@ -37,15 +37,13 @@ print()
 print("== the finite-state coder reproduces the weights ==")
 w = IIDSource([0.5, 0.5]).sample_path(5000, seed=3).symbols
 gamma = VariableLengthShiftSpec.from_function(2, 2, lambda t: 1 + t[0] + t[1])
-lengths = gamma.shift_values(w)
-pos, steps = 0, 0
-while pos <= 3000:
-    pos += int(lengths[pos])
-    steps += 1
-orbit = variable_length_orbit(gamma, w, steps)
-xi, density = weight_sequence(orbit, 3000)
-z = finite_state_orbit_coder(lengths[:3000], 3000, max_shift=3)
-print("coder == orbit weights:", bool(np.array_equal(xi, z)))
+horizon = 3000
+# the coder reads gamma at positions 0 .. horizon (lookahead 2); its marks
+# there count the orbit steps that pass the horizon
+z = finite_state_orbit_coder(gamma.shift_values(w[:horizon + 2]), horizon + 1, max_shift=3)
+orbit = variable_length_orbit(gamma, w, int(z.sum()))
+xi, density = weight_sequence(orbit, horizon)
+print("coder == orbit weights:", bool(np.array_equal(xi, z[:horizon])))
 print(f"partial density {density:.4f} stays inside [1/3, 1]")
 
 print()

@@ -17,6 +17,7 @@ import numpy as np
 from .entropy import (
     DEFAULT_ENUMERATION_CELLS,
     InducedMeasure,
+    _scan,
     aep_experiment,
     block_log_probability_table,
     conservation_report,
@@ -28,7 +29,7 @@ from .ergodic import (
     ergodicity_spread,
     time_average,
 )
-from .errors import ConfigError, DomainError, ResourceError
+from .errors import ConfigError, DomainError, RangeError, ResourceError, UnsupportedModelError
 from .oracles import brute_force_induced_log_table
 from .shifts import (
     TimeSubsequence,
@@ -39,7 +40,7 @@ from .shifts import (
     variable_length_orbit,
     weight_sequence,
 )
-from .sources import NEG_INF, model_from_config
+from .sources import NEG_INF, MarkovSource, model_from_config, stationary_distribution
 from .wordcode import WordFunction, encode_stream, is_prefix_free, word_function_from_config
 
 
@@ -232,7 +233,7 @@ def run_aep_non_prefix_free(cfg):
     passed = all_zero and shared["verdicts"]["strict_inequality"] == len(reports)
     summary = {
         **shared,
-        "bound": reports[0].bound,
+        "bound": math.fsum(cb.weight * cb.bound for cb in reports[0].per_component),
         "all_sample_entropies_zero": all_zero,
         "prefix_free": reports[0].prefix_free,
     }
@@ -314,9 +315,12 @@ def run_ams_markov(cfg):
     periodic_trace = ams_diagnostic(periodic, [cyl], horizon)[0]
     cps, cesaro_periodic = periodic_trace.checkpoints, periodic_trace.partial_averages
     periodic_ok = bool(np.all(np.abs(cesaro_periodic - 0.5) <= 1.0 / cps))
+    if not isinstance(aperiodic, MarkovSource) or aperiodic.period() != 1:  # raises if reducible
+        raise UnsupportedModelError("params.aperiodic_model: needs an irreducible aperiodic chain")
+    aper_target = float(stationary_distribution(aperiodic.matrix)[0])  # Cesaro limit of [0]
     aper_final = ams_diagnostic(aperiodic, [cyl], horizon)[0].final
     aper_tol = float(cfg.tolerances["cesaro"])
-    aper_ok = abs(aper_final - 5.0 / 6.0) <= aper_tol
+    aper_ok = abs(aper_final - aper_target) <= aper_tol
     rows_step = [(i, repr(v)) for i, v in enumerate(per_step)]
     rows_ces = [(int(n), repr(float(v))) for n, v in zip(cps, cesaro_periodic)]
     passed = alternates and periodic_ok and aper_ok
@@ -324,7 +328,7 @@ def run_ams_markov(cfg):
         "periodic_alternates": bool(alternates),
         "periodic_cesaro_within_1_over_n": periodic_ok,
         "aperiodic_cesaro_final": aper_final,
-        "aperiodic_target": 5.0 / 6.0,
+        "aperiodic_target": aper_target,
         "aperiodic_tolerance": aper_tol,
         "horizon": horizon,
     }
@@ -442,15 +446,14 @@ def run_coder_equivalence(cfg):
         else:
             horizon = int(np.exp(rng.uniform(np.log(100), np.log(max_horizon))))
         w = rng.integers(0, A, size=horizon + M + N + 1)
-        u = spec.shift_values(w).tolist()
-        pos, steps = 0, 0
-        while pos <= horizon:
-            pos += u[pos]
-            steps += 1
-        orbit = variable_length_orbit(spec, w, steps)
-        xi, density = weight_sequence(orbit, horizon)
-        z = finite_state_orbit_coder(u[:horizon], horizon, max_shift=N)
-        equal = bool(np.array_equal(xi, z))
+        z = finite_state_orbit_coder(spec.shift_values(w[:horizon + M]), horizon + 1, max_shift=N)
+        try:
+            # the coder's marks over [0, horizon] are the orbit steps that pass the horizon
+            orbit = variable_length_orbit(spec, w, int(z.sum()))
+            xi, density = weight_sequence(orbit, horizon)
+            equal = bool(np.array_equal(xi, z[:horizon]))
+        except RangeError:  # the orbit cannot take those steps or falls short: a mismatch
+            equal, density = False, math.nan
         mismatches += not equal
         if trial < 50 or not equal:
             rows.append((trial, A, M, N, horizon, repr(float(density)), int(equal)))
@@ -567,19 +570,23 @@ def run_log_identity(cfg):
     worst_eq = 0.0
     inequality_failures = 0
     checked = 0
-    for n in range(1, max_len + 1):
-        tuples = list(itertools.product(range(model.alphabet_size), repeat=n))
-        # one encode per codebook and length; tuple t's output ends at boundaries[(t + 1) n]
-        enc_pf, enc_npf = (encode_stream(wf, np.array(tuples).ravel()) for wf in (wf_pf, wf_npf))
-        cuts_pf, cuts_npf = enc_pf.boundaries[::n].tolist(), enc_npf.boundaries[::n].tolist()
-        for t, tup in enumerate(tuples):
+    tuples = list(itertools.product(range(model.alphabet_size), repeat=max_len))
+    # one encode per codebook; tuple t's prefix of length n ends at boundaries[t max_len + n]
+    encs = [encode_stream(wf, np.array(tuples).ravel()) for wf in (wf_pf, wf_npf)]
+    outs, cuts = [e.output.tolist() for e in encs], [e.boundaries.tolist() for e in encs]
+    for t, tup in enumerate(tuples):
+        # each tuple of length 1 .. max_len is checked once: as a prefix of itself padded with 0s
+        lengths = range(max((i + 1 for i, s in enumerate(tup) if s), default=1), max_len + 1)
+        out_lps = []
+        for induced, out, cut in zip((induced_pf, induced_npf), outs, cuts):
+            lo = cut[t * max_len]
+            marks = [cut[t * max_len + n] - lo for n in lengths]
+            lps, _ = _scan(induced, out[lo:lo + marks[-1]], marks)
+            out_lps.append(lps + [NEG_INF] * (len(marks) - len(lps)))
+        for n, out_lp, out_lp2 in zip(lengths, *out_lps):
             checked += 1
-            source_lp = model.cylinder_log_probability(tup)
-            y = enc_pf.output[cuts_pf[t]:cuts_pf[t + 1]]
-            out_lp = induced_pf.cylinder_log_probability(y)
+            source_lp = model.cylinder_log_probability(tup[:n])
             worst_eq = max(worst_eq, abs(source_lp - out_lp))
-            y2 = enc_npf.output[cuts_npf[t]:cuts_npf[t + 1]]
-            out_lp2 = induced_npf.cylinder_log_probability(y2)
             if source_lp > out_lp2 + tol:
                 inequality_failures += 1
     passed = worst_eq <= tol and inequality_failures == 0

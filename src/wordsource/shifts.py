@@ -10,7 +10,10 @@ partial density, always inside [1/N, 1].
 Two independent routes produce xi: directly from the orbit, and through the
 finite-state coder that counts down the pending block length (state s starts
 at 0, reloads to u-1 at block starts, emits 1 exactly at reloads). Their
-bit-for-bit equality is one of the package's executable identities.
+bit-for-bit equality is one of the package's executable identities. The
+check runs the coder first: its marks over positions 0 .. horizon are the
+orbit steps that pass the horizon, so they set the orbit's step count, and
+an orbit that falls short of the horizon is a mismatch.
 
 The Bellow partial sums compare a density-weighted subsequence average with
 the weighted full average; both converge to a common limit when the density

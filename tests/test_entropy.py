@@ -34,7 +34,8 @@ from wordsource.experiments import (
     random_model_config,
     random_prefix_free_codebook,
 )
-from wordsource import oracles
+from wordsource import experiments, oracles
+from wordsource.harness import resolve_config
 from wordsource.oracles import brute_force_induced_log_table
 from wordsource.sources import model_from_config
 
@@ -306,6 +307,42 @@ def test_prefix_free_log_identity_small():
             lhs = FAIR.cylinder_log_probability(x)
             rhs = induced.cylinder_log_probability(y)
             assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("model_config", [
+    {"type": "iid", "dist": [0.3, 0.7]},
+    # the second row never repeats symbol 1, so some tuples lie outside the support
+    {"type": "markov", "P": [[0.6, 0.4], [1.0, 0.0]], "init": [0.25, 0.75]},
+    {"type": "mixture", "weights": [0.35, 0.65],
+     "components": [{"type": "iid", "dist": [0.5, 0.5]}, {"type": "iid", "dist": [0.9, 0.1]}]},
+], ids=["iid", "markov", "mixture"])
+def test_log_identity_checkpoints_are_each_prefix_bitwise(monkeypatch, model_config):
+    # log-identity scans each full-length tuple once and reads the shorter tuples at
+    # checkpoints; each read must be the prefix's own cylinder probability, bit for
+    # bit, and under {0, 10} (injective) every tuple of length 1..5 is read once
+    reads = []
+
+    def recording_scan(measure, symbols, checkpoints):
+        lps, left_at = _scan(measure, symbols, checkpoints)
+        reads.append((measure, symbols, checkpoints, lps))
+        return lps, left_at
+
+    monkeypatch.setattr(experiments, "_scan", recording_scan)
+    cfg = resolve_config({"experiment": "log-identity", "seed": 0, "model": model_config,
+                          "params": {"max_tuple_length": 5}})
+    result = experiments.run_log_identity(cfg)
+    assert result.passed and result.summary["tuples_checked"] == sum(2**n for n in range(1, 6))
+    read_outputs = {WF.codewords: [], WF_ALL_ZERO.codewords: []}
+    for measure, symbols, checkpoints, lps in reads:
+        fresh = InducedMeasure(measure.model, measure.word_function)
+        lps = lps + [NEG_INF] * (len(checkpoints) - len(lps))
+        for cp, lp in zip(checkpoints, lps):
+            assert lp.hex() == fresh.cylinder_log_probability(symbols[:cp]).hex()
+            read_outputs[measure.word_function.codewords].append(tuple(symbols[:cp]))
+    expected = sorted(tuple(encode_stream(WF, x).output.tolist())
+                      for n in range(1, 6) for x in itertools.product(range(2), repeat=n))
+    assert sorted(read_outputs[WF.codewords]) == expected
+    assert len(read_outputs[WF_ALL_ZERO.codewords]) == len(expected)
 
 
 def test_non_prefix_free_log_inequality_small():

@@ -1,5 +1,6 @@
 """Config validation, experiment dispatch, result determinism, CLI exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wordsource import ConfigError
+from wordsource import ConfigError, TimeSubsequence, experiments
 from wordsource.cli import main
 from wordsource.entropy import conservation_report
 from wordsource.harness import (
@@ -596,3 +598,136 @@ def test_cli_closed_stdout_exits_141_without_a_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141, err
     assert "internal error" not in err and "Traceback" not in err
+
+
+# -- coder equivalence: pinned bytes and mutants that must fail ----------------------
+
+CODER_SMALL = {"experiment": "coder-equivalence", "seed": 31337, "horizon": 2000,
+               "params": {"trials": 60, "full_horizon_trials": 3}}
+
+
+def _digests(out_dir):
+    """sha256 of each table file's bytes and of each summary's ``summary`` object."""
+    digests = {}
+    for path in sorted(Path(out_dir).iterdir()):
+        if path.suffix == ".json":
+            blob = json.dumps(json.loads(path.read_text())["summary"], sort_keys=True).encode()
+        else:
+            blob = path.read_bytes()
+        digests[path.name] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+def test_coder_equivalence_and_log_identity_bytes_pinned(tmp_path):
+    # digests taken from the independent step-counting walk and the per-tuple
+    # cylinder scans, so the one-walk routes must keep every byte
+    run_experiment(resolve_config({**CODER_SMALL, "output_dir": str(tmp_path / "coder")}))
+    assert _digests(tmp_path / "coder") == {
+        "coder-equivalence.summary.json":
+            "c2f533eab496bb72e0c8961049a3063061b22053e432def8622eb9eefdc146cc",
+        "coder-equivalence.trials.csv":
+            "f2374cd0c27ad5679aa481558ef354a95ddc8f74c8dac3e2aeebe16daf02d38d",
+    }
+    markov = {"type": "markov",
+              "P": [[0.7504221828101406, 0.10074327667996506, 0.14883454050989428],
+                    [0.33560609602741737, 0.6038074534472516, 0.06058645052533101],
+                    [0.4992807669519758, 0.41766252541291515, 0.08305670763510925]],
+              "init": [0.5528742744464451, 0.21068211176869944, 0.2364436137848555]}
+    run_experiment(resolve_config({
+        "experiment": "log-identity", "seed": 0, "model": markov,
+        "codebook": {"input_alphabet": 3, "output_alphabet": 2, "code": ["0", "10", "11"]},
+        "params": {"non_prefix_free_codebook": {"input_alphabet": 3, "output_alphabet": 2,
+                                                "code": ["0", "01", "1"]},
+                   "max_tuple_length": 5},
+        "output_dir": str(tmp_path / "log")}))
+    assert _digests(tmp_path / "log") == {
+        "log-identity.summary.json":
+            "93063b7dbf791c25c8f897f9b21ec2a4fc8a1f179cd8b508022b97b466dbab1e",
+    }
+
+
+def _flip_below_horizon(coder):
+    def mutant(lengths, horizon, max_shift=None):
+        z = coder(lengths, horizon, max_shift=max_shift)
+        z[horizon // 2] ^= 1
+        return z
+    return mutant
+
+
+def _drop_last_mark(coder):
+    def mutant(lengths, horizon, max_shift=None):
+        z = coder(lengths, horizon, max_shift=max_shift)
+        z[np.flatnonzero(z)[-1]] = 0
+        return z
+    return mutant
+
+
+def _skip_one_step(orbit):
+    def mutant(spec, symbols, steps):
+        ts = orbit(spec, symbols, steps)
+        return TimeSubsequence(zeta=np.delete(ts.zeta, 1))
+    return mutant
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("finite_state_orbit_coder", _flip_below_horizon),
+    ("finite_state_orbit_coder", _drop_last_mark),
+    ("variable_length_orbit", _skip_one_step),
+], ids=["coder-flips-a-bit", "coder-drops-its-last-mark", "orbit-skips-a-step"])
+def test_coder_equivalence_mutants_fail_the_verdict(tmp_path, capsys, monkeypatch, name, mutate):
+    # a wrong mark count leaves the orbit short of the horizon: that trial is a
+    # mismatch and the run exits 1, it never raises
+    monkeypatch.setattr(experiments, name, mutate(getattr(experiments, name)))
+    cfg = tmp_path / "coder.json"
+    cfg.write_text(json.dumps(CODER_SMALL))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "out" / "coder-equivalence.summary.json").read_text())
+    assert doc["passed"] is False and doc["summary"]["mismatches"] >= 1
+
+
+# -- computed targets ------------------------------------------------------------------
+
+def test_aep_non_prefix_free_bound_is_the_decomposition_integral(tmp_path, capsys):
+    # a mixture's paths come from both components, so the summary names the
+    # integral of their bounds, not the bound of whichever component path 0 drew
+    model = json.dumps({"type": "mixture", "weights": [0.5, 0.5],
+                        "components": [{"type": "iid", "dist": [0.5, 0.5]},
+                                       {"type": "iid", "dist": [0.9, 0.1]}]})
+    codebook = '{"input_alphabet":2,"output_alphabet":2,"code":["0","00"]}'
+    out = tmp_path / "out"
+    assert main(["aep", "--model", model, "--codebook", codebook, "--paths", "5",
+                 "--horizon", "200", "--out", str(out)]) == 0
+    summary = json.loads((out / "aep-non-prefix-free.summary.json").read_text())["summary"]
+    h = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
+    assert summary["bound"] == pytest.approx(0.5 * (1 / 1.5) + 0.5 * h / 1.1, abs=1e-12)
+
+
+def test_ams_markov_target_is_the_stationary_probability(tmp_path, capsys):
+    ams = json.loads((CONFIG_DIR / "ams_markov.json").read_text())
+    out = tmp_path / "default"
+    assert main(["run", "--config", str(CONFIG_DIR / "ams_markov.json"), "--out", str(out)]) == 0
+    assert json.loads((out / "ams-markov.summary.json").read_text())[
+        "summary"]["aperiodic_target"] == 5.0 / 6.0
+    # a moved first row moves the target from 5/6 to 5/7, and the run still passes
+    cfg = tmp_path / "moved.json"
+    cfg.write_text(json.dumps({**ams, "params": {
+        "aperiodic_model": {"type": "markov", "P": [[0.8, 0.2], [0.5, 0.5]], "init": [1, 0]}}}))
+    out = tmp_path / "moved"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "ams-markov.summary.json").read_text())["summary"]
+    assert summary["aperiodic_target"] == pytest.approx(5 / 7, abs=1e-15)
+    assert abs(summary["aperiodic_cesaro_final"] - 5 / 7) <= 1e-3
+
+
+@pytest.mark.parametrize("model", [
+    {"type": "markov", "P": [[0, 1], [1, 0]], "init": [1, 0]},
+    {"type": "markov", "P": [[1, 0], [0.5, 0.5]], "init": [0, 1]},
+    {"type": "iid", "dist": [0.5, 0.5]},
+], ids=["periodic", "reducible", "iid"])
+def test_ams_markov_needs_an_irreducible_aperiodic_chain(tmp_path, capsys, model):
+    cfg = tmp_path / "ams.json"
+    cfg.write_text(json.dumps({"experiment": "ams-markov", "params": {"aperiodic_model": model}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "input error: " in err and "irreducible" in err

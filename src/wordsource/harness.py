@@ -145,11 +145,6 @@ EXPERIMENT_DEFAULTS = {
     },
 }
 
-_ALLOWED_KEYS = {
-    "experiment", "seed", "model", "codebook", "horizon", "paths",
-    "tolerances", "params", "output_dir", "format",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -188,93 +183,83 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _require_int(value, path, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
+def _check_value(value, default, path):
+    """Check a field the user gave against the kind of its default.
 
-
-def _check_spec(value, default, path):
-    """Build ``value`` if ``default`` is a model or codebook spec, or an object of models."""
-    if not isinstance(default, dict):
-        return
-    if "type" in default or "code" in default:
+    A float is a tolerance, an integer other than the seed counts something,
+    a model or codebook is built, an object of models has each entry built,
+    and a config is resolved. Errors carry ``path``.
+    """
+    if isinstance(default, float):
+        # json reads NaN and Infinity, and a bool is an int
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf):
+            raise ConfigError(f"{path}: must be a positive finite number, got {value!r}")
+    elif isinstance(default, int):
+        minimum = 0 if path == "seed" else 1
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    elif "type" in default or "code" in default or "experiment" in default:
+        build = (model_from_config if "type" in default
+                 else word_function_from_config if "code" in default else resolve_config)
         try:
-            (model_from_config if "type" in default else word_function_from_config)(value)
+            build(value)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     elif default and all(isinstance(d, dict) and "type" in d for d in default.values()):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object of models")
         for name, item in value.items():
-            _check_spec(item, FAIR_COIN, f"{path}.{name}")
+            _check_value(item, next(iter(default.values())), f"{path}.{name}")
 
 
 def resolve_config(raw):
     """Validate a raw config dict, fill defaults, and return ExperimentConfig.
 
-    Error messages carry the JSON path of the offending field.
+    An experiment takes ``experiment``, ``output_dir``, ``format`` and the
+    top-level keys of its defaults. Error messages carry the JSON path of the
+    offending field.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    unknown = set(raw) - _ALLOWED_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown fields {sorted(unknown)}")
     name = raw.get("experiment")
     if name not in REGISTRY:
         raise ConfigError(
             f"experiment: unknown name {name!r}; valid names: {sorted(REGISTRY)}"
         )
     defaults = EXPERIMENT_DEFAULTS[name]
-    merged = {**defaults, **{k: v for k, v in raw.items() if k != "experiment"}}
+    valid = sorted({"experiment", "output_dir", "format", *defaults})
+    unknown = sorted(set(raw) - set(valid))
+    if unknown:
+        raise ConfigError(f"config: unknown fields {unknown} of {name}; valid fields: {valid}")
+    merged = {**defaults, **raw}
     for key, kind in (("tolerances", "tolerance"), ("params", "parameter")):
         given = raw.get(key, {})
         if not isinstance(given, dict):
             raise ConfigError(f"{key}: expected an object")
-        for field_name in given:
+        for field_name, value in given.items():
             if field_name not in defaults[key]:
                 raise ConfigError(f"{key}.{field_name}: not a {kind} of {name}; "
                                   f"valid keys: {sorted(defaults[key])}")
+            _check_value(value, defaults[key][field_name], f"{key}.{field_name}")
         merged[key] = {**defaults[key], **given}
-    for key, value in raw.get("params", {}).items():
-        default = defaults["params"][key]
-        if isinstance(default, int) and not isinstance(default, bool):
-            # every integer parameter counts something
-            _require_int(value, f"params.{key}", minimum=1)
-        _check_spec(value, default, f"params.{key}")
-
-    seed = _require_int(merged.get("seed"), "seed", minimum=0)
-    horizon = merged.get("horizon")
-    if horizon is not None:
-        horizon = _require_int(horizon, "horizon", minimum=1)
-    paths = merged.get("paths")
-    if paths is not None:
-        paths = _require_int(paths, "paths", minimum=1)
-    tolerances = merged["tolerances"]
-    for key, value in tolerances.items():
-        # json reads NaN and Infinity, and a bool is an int
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf):
-            raise ConfigError(f"tolerances.{key}: must be a positive finite number, "
-                              f"got {value!r}")
+    for key, value in raw.items():
+        if key in defaults and key not in ("tolerances", "params"):
+            _check_value(value, defaults[key], key)
     fmt = merged.get("format", "csv")
     if fmt not in TABLE_WRITERS:
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")
 
-    for key, default in (("model", FAIR_COIN), ("codebook", CODE_PREFIX_FREE)):
-        if merged.get(key) is not None:
-            _check_spec(merged[key], default, key)
-
     return ExperimentConfig(
         experiment=name,
-        seed=seed,
+        seed=merged["seed"],
         model=merged.get("model"),
         codebook=merged.get("codebook"),
-        horizon=horizon,
-        paths=paths,
-        tolerances=tolerances,
+        horizon=merged.get("horizon"),
+        paths=merged.get("paths"),
+        tolerances=merged["tolerances"],
         params=merged["params"],
         output_dir=merged.get("output_dir"),
         format=fmt,

@@ -1,5 +1,6 @@
 """Config validation, experiment dispatch, result determinism, CLI exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -44,6 +45,105 @@ def test_unknown_experiment_lists_valid_names():
 def test_unknown_top_level_field_rejected():
     with pytest.raises(ConfigError, match="unknown fields"):
         resolve_config({"experiment": "bellow", "seed": 0, "horizons": [1]})
+
+
+# the top-level fields each experiment never reads, with a value it would accept
+UNREAD_FIELDS = {
+    "dp-oracle": ("model", "codebook", "horizon", "paths"),
+    "determinism": ("model", "codebook", "horizon", "paths"),
+    "conservation": ("horizon", "paths"),
+    "log-identity": ("horizon", "paths"),
+    "ams-markov": ("model", "codebook", "paths"),
+    "coder-equivalence": ("model", "codebook", "paths"),
+    "bellow": ("model", "codebook", "paths"),
+    "output-ergodicity": ("model", "paths"),
+}
+FIELD_VALUES = {
+    "model": {"type": "iid", "dist": [0.5, 0.5]},
+    "codebook": {"input_alphabet": 2, "output_alphabet": 2, "code": ["0", "10"]},
+    "horizon": 1000,
+    "paths": 5,
+}
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (experiment, key) for experiment, keys in UNREAD_FIELDS.items() for key in keys
+])
+def test_field_an_experiment_does_not_read_is_rejected(tmp_path, capsys, experiment, key):
+    # a field the run never reads would still be echoed and hashed as if it mattered
+    cfg = tmp_path / "unread.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "seed": 0, key: FIELD_VALUES[key],
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config: unknown fields ['{key}'] of {experiment}; valid fields: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("horizon", None, "horizon: expected an integer, got None"),
+    ("horizon", "100", "horizon: expected an integer, got '100'"),
+    ("paths", None, "paths: expected an integer, got None"),
+    ("paths", 2.5, "paths: expected an integer, got 2.5"),
+    ("paths", 0, "paths: must be >= 1, got 0"),
+    ("seed", None, "seed: expected an integer, got None"),
+    ("model", None, "model: model config must be a dict"),
+    ("model", "iid", "model: model config must be a dict"),
+    ("codebook", None, "codebook: codebook config must be a dict"),
+    ("codebook", ["0", "10"], "codebook: codebook config must be a dict"),
+])
+def test_null_or_mistyped_field_names_its_path(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": "aep-prefix-free", "seed": 0, key: value,
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_flag_for_a_field_the_experiment_does_not_read_is_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIG_DIR / "conservation_mixture.json"),
+                 "--horizon", "5", "--out", str(out)]) == 2
+    assert "unknown fields ['horizon'] of conservation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inner, message", [
+    ({"experiment": "bellow", "horizon": 0}, "params.inner: horizon: must be >= 1, got 0"),
+    ({"experiment": "bellow", "paths": 3}, "params.inner: config: unknown fields ['paths']"),
+    ({"experiment": "warp-drive"}, "params.inner: experiment: unknown name 'warp-drive'"),
+    ([1], "params.inner: config: expected a JSON object"),
+])
+def test_bad_determinism_inner_config_rejected_before_any_run(tmp_path, capsys, inner, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": "determinism", "params": {"inner": inner},
+                               "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# config_hash of each shipped config, as the releases before the schema
+# narrowed to the fields each experiment reads wrote it
+SHIPPED_CONFIG_HASHES = {
+    "aep_mixture": "c7ec28d015805d86",
+    "aep_non_prefix_free": "a1e5d00efa5e1674",
+    "aep_prefix_free": "c03ad4bb5ef092bf",
+    "ams_markov": "7714f2c311282195",
+    "bellow": "559b74f8da799f84",
+    "coder_equivalence": "a71ec912cb661633",
+    "conservation_mixture": "2474134ef246ef7e",
+    "determinism": "700bd890099b2f13",
+    "dp_oracle": "4dab20d6cb3a93ee",
+    "log_identity": "88de028467e8dab8",
+    "output_ergodicity": "48933f5a69f50ae8",
+}
+
+
+def test_shipped_config_hashes_pinned():
+    assert {path.stem: validate_config(path).config_hash
+            for path in CONFIG_DIR.glob("*.json")} == SHIPPED_CONFIG_HASHES
 
 
 def test_bad_distribution_rejected_with_field_name():
@@ -701,6 +801,61 @@ def test_aep_non_prefix_free_bound_is_the_decomposition_integral(tmp_path, capsy
     summary = json.loads((out / "aep-non-prefix-free.summary.json").read_text())["summary"]
     h = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
     assert summary["bound"] == pytest.approx(0.5 * (1 / 1.5) + 0.5 * h / 1.1, abs=1e-12)
+
+
+def test_aep_non_prefix_free_code_with_equality_verdicts_passes(tmp_path, capsys):
+    # {0, 01} is not prefix-free but loses no entropy: equality is no violation
+    codebook = '{"input_alphabet":2,"output_alphabet":2,"code":["0","01"]}'
+    out = tmp_path / "out"
+    assert main(["aep", "--codebook", codebook, "--paths", "5", "--horizon", "2000",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "aep-non-prefix-free.summary.json").read_text())["summary"]
+    assert summary["verdicts"] == {"equality": 5, "strict_inequality": 0, "violation": 0}
+    assert summary["all_sample_entropies_zero"] is False
+
+
+def _spoil_last_report(**changes):
+    def wrap(aep_experiment):
+        def spoilt(*args, **kwargs):
+            reports = aep_experiment(*args, **kwargs)
+            return [*reports[:-1], dataclasses.replace(reports[-1], **changes)]
+        return spoilt
+    return wrap
+
+
+@pytest.mark.parametrize("changes", [
+    {"empirical_h": 1e-3},
+    {"verdict": "violation"},
+], ids=["nonzero-entropy-of-a-constant-stream", "violation"])
+def test_aep_non_prefix_free_mutants_fail_the_verdict(tmp_path, capsys, monkeypatch, changes):
+    # {0, 00} writes a constant stream: its sample entropy must be exactly 0
+    monkeypatch.setattr(experiments, "aep_experiment",
+                        _spoil_last_report(**changes)(experiments.aep_experiment))
+    codebook = '{"input_alphabet":2,"output_alphabet":2,"code":["0","00"]}'
+    assert main(["aep", "--codebook", codebook, "--paths", "3", "--horizon", "200",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "error" not in capsys.readouterr().err
+
+
+TERNARY_IID = {"type": "iid", "dist": [0.2, 0.3, 0.5]}
+
+
+@pytest.mark.parametrize("params, path", [
+    ({"models": {"fair-coin": {"type": "iid", "dist": [0.5, 0.5]}, "ternary": TERNARY_IID}},
+     "params.models.ternary"),
+    ({"mixture_model": {"type": "mixture", "weights": [0.5, 0.5],
+                        "components": [TERNARY_IID, TERNARY_IID]}}, "params.mixture_model"),
+])
+def test_output_ergodicity_model_alphabet_checked_before_sampling(tmp_path, capsys, monkeypatch,
+                                                                  params, path):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the alphabets were checked")
+
+    monkeypatch.setattr(experiments, "encode_stream", no_sampling)
+    cfg = tmp_path / "ternary.json"
+    cfg.write_text(json.dumps({"experiment": "output-ergodicity", "params": params}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: a model over 3 symbols" in capsys.readouterr().err
 
 
 def test_ams_markov_target_is_the_stationary_probability(tmp_path, capsys):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -40,7 +41,7 @@ from .shifts import (
     variable_length_orbit,
     weight_sequence,
 )
-from .sources import MixtureSource, model_from_config
+from .sources import LN2, MixtureSource, model_from_config
 from .wordcode import (
     decode_prefix_free,
     encode_stream,
@@ -71,7 +72,7 @@ def _json_arg(args, key):
 
 
 def _symbols_arg(text):
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ConfigError(f"expected a string of digit symbols, got {text!r}")
     return [int(ch) for ch in text]
 
@@ -112,8 +113,8 @@ def cmd_induced_prob(args):
     wf = word_function_from_config(_json_arg(args, "codebook"))
     lp = InducedMeasure(model, wf).cylinder_log_probability(_symbols_arg(args.block))
     print(f"log_probability_nats: {lp!r}")
-    print(f"log2_probability: {lp / np.log(2.0)!r}")
-    print(f"probability: {np.exp(lp)!r}")
+    print(f"log2_probability: {lp / LN2!r}")
+    print(f"probability: {math.exp(lp)!r}")
     return EXIT_PASS
 
 

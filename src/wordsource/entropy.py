@@ -17,10 +17,11 @@ over the states that emit the last symbol, and its own log scale: a scale
 shared across a block-diagonal mixture loses the components' relative
 weight. Each step adds log1p(-leak) to the scale, where leak is the mass
 that moved to states emitting another symbol, or log(kept) once leak reaches
-1/2. A step that leaks nothing adds exactly 0.0. A mixture is data: one
-(log weight, chain) pair per component, combined by a max-shifted log-sum in
-component order. Every sum runs in a fixed order, so repeated runs are bit
-identical.
+1/2. A step that leaks nothing adds exactly 0.0. The chain is built from the
+model's ``parts`` alone, one (log weight, chain) pair per weighted (initial
+law, transition rows) part, with no code per model family; the components are
+combined by ``sources.log_mixture``, a max-shifted log-sum in component order.
+Every sum runs in a fixed order, so repeated runs are bit identical.
 
 One forward scan serves cylinder probabilities, sample-entropy traces and the
 AEP experiment (per-path sample entropy against the component bound
@@ -59,12 +60,9 @@ from .sources import (
     LN2,
     LOG_PROB_SLACK,
     NEG_INF,
-    MarkovSource,
-    MixtureSource,
     PathSample,
-    _clamp_log_prob,
-    _logsumexp,
     as_symbols,
+    log_mixture,
     seed_sequence,
 )
 from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_prefix_free
@@ -96,22 +94,14 @@ class _Chain:
     """
 
     def __init__(self, model, word_function):
-        if isinstance(model, MixtureSource):
-            parts = zip(model.weights.tolist(), model._log_weights.tolist(), model.components)
-        else:
-            parts = [(1.0, 0.0, model)]
         codewords = word_function.codewords
         B = word_function.output_alphabet_size
         emits, moves, self.spans, self.starts, log_weights = [], [], [], [], []
         self.emits, self.moves = emits, moves
-        for weight, log_weight, comp in parts:
+        for weight, log_weight, first, rows in model.parts:
             if not weight > 0.0:
                 continue
-            if isinstance(comp, MarkovSource):
-                rows, first = comp.matrix.tolist(), comp.initial.tolist()
-            else:
-                first = comp.distribution.tolist()
-                rows = [first] * len(codewords)
+            first, rows = first.tolist(), rows.tolist()
             low = len(emits)
             heads = [low + sum(map(len, codewords[:a])) for a in range(len(codewords))]
             for a, cw in enumerate(codewords):
@@ -191,13 +181,6 @@ class _Chain:
         return matrix, np.ascontiguousarray(matrix.T), start, np.array(self.emits)
 
 
-def _log_q(chain, scales):
-    """log q from each component's log scale, -inf where the component died:
-    the live components' log weight + scale, combined in component order."""
-    terms = [w + s for w, s in zip(chain.log_weights, scales) if s > NEG_INF]
-    return _clamp_log_prob(terms[0] if len(terms) == 1 else _logsumexp(terms))
-
-
 def _scan(measure, symbols, checkpoints):
     """log q at each checkpoint the path reaches, and the 1-based position
     where it left the support (None if it never did).
@@ -236,7 +219,8 @@ def _scan(measure, symbols, checkpoints):
             break
         marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
     # death is final, so the checkpoints some component reaches are a prefix
-    lps = [_log_q(chain, scales) for scales in zip(*marks) if max(scales) > NEG_INF]
+    lps = [log_mixture(chain.log_weights, scales)
+           for scales in zip(*marks) if max(scales) > NEG_INF]
     return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
@@ -371,7 +355,8 @@ def block_log_probability_table(measure, n):
     table = np.full(cells, NEG_INF)
     # memoryview rows yield Python floats one cell at a time, so no per-cell list is built
     per_cell = zip(*map(memoryview, scales[:, live]))
-    table[live] = np.fromiter((_log_q(chain, cell) for cell in per_cell), float, live.size)
+    lw = chain.log_weights
+    table[live] = np.fromiter((log_mixture(lw, cell) for cell in per_cell), float, live.size)
     return table
 
 

@@ -1,8 +1,9 @@
 """Brute-force reference computations, independent of the chain kernel.
 
 The oracle enumerates every source n-tuple and reads off its probability and
-its output cell from the model's parameters and the codewords alone: it calls
-neither the induced measure's forward algorithm, nor a model's cylinder
+its output cell from the model's ``parts`` (weighted initial laws and
+transition rows, with no code per model family) and the codewords alone: it
+calls neither the induced measure's forward algorithm, nor a model's cylinder
 probability, nor the stream encoder, so agreement with them is a genuine
 cross-check rather than a tautology.
 
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sources import NEG_INF, IIDSource, MarkovSource, MixtureSource
+from .sources import NEG_INF
 
 MAX_ORACLE_TUPLES = 2**22
 
@@ -28,21 +29,15 @@ ORACLE_CHUNK = 2**16
 
 
 def _tuple_probabilities(model, digits):
-    """Probability of each tuple whose k-th symbols are the column digits[k]."""
-    if isinstance(model, MixtureSource):
-        return sum(w * _tuple_probabilities(c, digits)
-                   for w, c in zip(model.weights, model.components))
-    if isinstance(model, MarkovSource):
-        p = model.initial[digits[0]]
+    """Probability of each tuple whose k-th symbols are the column digits[k]:
+    over the model's parts, weight * initial[d0] * rows[d0, d1] * ..., summed."""
+    total = 0.0
+    for weight, _, initial, rows in model.parts:
+        p = initial[digits[0]]
         for prev, cur in zip(digits, digits[1:]):
-            p = p * model.matrix[prev, cur]
-        return p
-    if isinstance(model, IIDSource):
-        p = model.distribution[digits[0]]
-        for cur in digits[1:]:
-            p = p * model.distribution[cur]
-        return p
-    raise TypeError(f"the oracle has no parameters for {type(model).__name__}")
+            p = p * rows[prev, cur]
+        total = total + weight * p
+    return total
 
 
 def brute_force_induced_log_table(model, word_function, n):

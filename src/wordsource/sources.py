@@ -6,6 +6,13 @@ Three model families are supported:
   * ``MarkovSource``  - first-order chain (row-stochastic matrix + start vector)
   * ``MixtureSource`` - finite convex mixture of IID / ergodic Markov components
 
+A model's law is data: ``parts`` lists one (weight, log weight, initial law,
+transition rows) per component, weights as Python floats and laws as arrays.
+An IID source is one part whose rows all repeat its marginal, a Markov source
+is one part, and a mixture lists its components' parts under its own weights.
+The chain kernel of ``entropy``, the brute-force oracle and the first-symbol
+law ``marginal_distribution`` read only ``parts``.
+
 Every model answers exact cylinder probabilities mu([a^n]) in natural-log
 space, samples reproducible paths from an explicit seed, evaluates shifted
 cylinder probabilities mu(T^-i [a^n]), exposes its ergodic components, and
@@ -19,11 +26,11 @@ sources and induced measures alike.
 Mixtures realise the ergodic decomposition extensionally: sampling draws one
 component per path and holds it fixed, so each realisation is governed by a
 single ergodic component, and the mixture's cylinder probabilities are the
-weight-sums of the component probabilities.
+weight-sums of the component probabilities, combined by ``log_mixture``.
 
-``cylinder_log_probability`` is a vectorised sum of log factors, a path
-separate from the chain kernel of ``entropy``, so it stays an independent
-check of that kernel.
+Each family keeps its own ``cylinder_log_probability``, a vectorised sum of
+log factors read from the family's own fields rather than from ``parts``: a
+path separate from the chain kernel, so it stays an independent check of it.
 
 Probabilities are carried in natural log internally; bits appear only at
 reporting boundaries. Long paths underflow linear space, logs do not.
@@ -34,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,20 +95,6 @@ def _log_vector(p):
         return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), NEG_INF)
 
 
-def _logsumexp(values):
-    """Max-shifted log-sum of a list of floats, deterministic in input order."""
-    m = NEG_INF
-    for v in values:
-        if v > m:
-            m = v
-    if m == NEG_INF:
-        return NEG_INF
-    acc = 0.0
-    for v in values:
-        acc += math.exp(v - m)
-    return m + math.log(acc)
-
-
 def seed_sequence(seed):
     """Accept ints, entropy sequences, or an existing SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
@@ -123,6 +117,23 @@ def _clamp_log_prob(lp):
             )
         return 0.0
     return lp
+
+
+def log_mixture(log_weights, lps):
+    """log of sum_c exp(log_weights[c] + lps[c]), for Python floats.
+
+    Terms at -inf are skipped and a single live term is returned as it is;
+    otherwise the max-shifted sum is taken in component order, so the result
+    is deterministic. Either way it is clamped to 0 within LOG_PROB_SLACK.
+    """
+    terms = [t for t in map(operator.add, log_weights, lps) if t > NEG_INF]
+    if len(terms) > 1:
+        m = max(terms)
+        acc = 0.0
+        for t in terms:
+            acc += math.exp(t - m)
+        terms = [m + math.log(acc)]
+    return _clamp_log_prob(terms[0]) if terms else NEG_INF
 
 
 def stationary_distribution(matrix):
@@ -193,6 +204,7 @@ class SourceModel:
     """Common interface of all source models. Immutable after construction."""
 
     alphabet_size: int
+    parts: tuple  # ((weight, log weight, initial law, transition rows), ...)
 
     # -- identity -------------------------------------------------------------
     def config_dict(self):
@@ -213,7 +225,7 @@ class SourceModel:
 
     def marginal_distribution(self):
         """Distribution of the first symbol."""
-        raise NotImplementedError
+        return sum(weight * initial for weight, _, initial, _ in self.parts)
 
     def shifted_cylinder_probability(self, symbols, shift):
         """mu(T^-i [a^n]) for one shift i or a 1-D array of shifts.
@@ -268,6 +280,7 @@ class IIDSource(SourceModel):
         self.distribution = dist
         self.alphabet_size = dist.size
         self._log_dist = _log_vector(dist)
+        self.parts = ((1.0, 0.0, dist, np.tile(dist, (dist.size, 1))),)
 
     def config_dict(self):
         return {"type": "iid", "dist": [float(p) for p in self.distribution]}
@@ -277,9 +290,6 @@ class IIDSource(SourceModel):
         if arr.size == 0:
             raise DomainError("cylinder tuple must be nonempty")
         return float(self._log_dist[arr].sum())
-
-    def marginal_distribution(self):
-        return self.distribution.copy()
 
     def _sample(self, rng, length):
         return rng.choice(self.alphabet_size, size=length, p=self.distribution), None
@@ -311,6 +321,7 @@ class MarkovSource(SourceModel):
         if self.initial.size != self.matrix.shape[0]:
             raise ConfigError("initial distribution length must match the matrix")
         self.alphabet_size = self.matrix.shape[0]
+        self.parts = ((1.0, 0.0, self.initial, self.matrix),)
         self._log_matrix = _log_vector(self.matrix)
         self._log_init = _log_vector(self.initial)
         self._cum_rows = np.cumsum(self.matrix, axis=1)
@@ -336,9 +347,6 @@ class MarkovSource(SourceModel):
         if arr.size > 1:
             logp = logp + self._log_matrix[arr[:-1], arr[1:]].sum()
         return float(logp)
-
-    def marginal_distribution(self):
-        return self.initial.copy()
 
     def _sample(self, rng, length):
         u = rng.random(length)
@@ -445,7 +453,9 @@ class MixtureSource(SourceModel):
                 raise ConfigError(f"component {idx}: unsupported component type")
         self.components = tuple(components)
         self.alphabet_size = components[0].alphabet_size
-        self._log_weights = _log_vector(self.weights)
+        # each component is IID or Markov, so it has exactly one part
+        self.parts = tuple((w, lw, *c.parts[0][2:]) for w, lw, c in zip(
+            self.weights.tolist(), _log_vector(self.weights).tolist(), components))
 
     def config_dict(self):
         return {
@@ -456,20 +466,8 @@ class MixtureSource(SourceModel):
 
     def cylinder_log_probability(self, symbols):
         arr = as_symbols(symbols, self.alphabet_size)
-        terms = []
-        for lw, comp in zip(self._log_weights, self.components):
-            if lw == NEG_INF:
-                continue
-            lp = comp.cylinder_log_probability(arr)
-            if lp > NEG_INF:
-                terms.append(float(lw) + lp)
-        return _clamp_log_prob(_logsumexp(terms))
-
-    def marginal_distribution(self):
-        out = np.zeros(self.alphabet_size)
-        for w, comp in zip(self.weights, self.components):
-            out += w * comp.marginal_distribution()
-        return out
+        return log_mixture([lw for _, lw, _, _ in self.parts],
+                           [comp.cylinder_log_probability(arr) for comp in self.components])
 
     def _sample(self, rng, length):
         comp = int(rng.choice(len(self.components), p=self.weights))
@@ -485,30 +483,39 @@ class MixtureSource(SourceModel):
         return float(sum(w * c.entropy_rate_exact() for w, c in zip(self.weights, self.components)))
 
 
-def model_from_config(config):
-    """Build a SourceModel from its JSON-style config dict.
+def check_fields(config, fields, what):
+    """Raise ConfigError naming the first of ``fields`` that the dict
+    ``config`` lacks, or else the first key it has outside ``fields``."""
+    for key in fields:
+        if key not in config:
+            raise ConfigError(f"{what} config needs a '{key}' field")
+    for key in config:
+        if key not in fields:
+            raise ConfigError(f"{what} config has an unknown field {key!r}")
 
-    Accepted forms:
-      {"type": "iid", "dist": [...]}
-      {"type": "markov", "P": [[...]], "init": [...]}
-      {"type": "mixture", "weights": [...], "components": [...]}
-    """
+
+# Every field of each model type's config; each one is required.
+MODEL_FIELDS = {
+    "iid": ("type", "dist"),
+    "markov": ("type", "P", "init"),
+    "mixture": ("type", "weights", "components"),
+}
+
+
+def model_from_config(config):
+    """Build a SourceModel from its JSON-style config dict, whose fields are
+    exactly its type's MODEL_FIELDS; a mixture's components are a list of
+    IID or Markov configs."""
     if not isinstance(config, dict) or "type" not in config:
         raise ConfigError("model config must be a dict with a 'type' field")
     kind = config["type"]
+    if not isinstance(kind, str) or kind not in MODEL_FIELDS:
+        raise ConfigError(f"unknown model type {kind!r}")
+    check_fields(config, MODEL_FIELDS[kind], f"{kind} model")
     if kind == "iid":
-        if "dist" not in config:
-            raise ConfigError("iid model config needs a 'dist' field")
         return IIDSource(config["dist"])
     if kind == "markov":
-        for field in ("P", "init"):
-            if field not in config:
-                raise ConfigError(f"markov model config needs a '{field}' field")
         return MarkovSource(config["P"], config["init"])
-    if kind == "mixture":
-        for field in ("weights", "components"):
-            if field not in config:
-                raise ConfigError(f"mixture model config needs a '{field}' field")
-        comps = [model_from_config(c) for c in config["components"]]
-        return MixtureSource(config["weights"], comps)
-    raise ConfigError(f"unknown model type {kind!r}")
+    if not isinstance(config["components"], list):
+        raise ConfigError("mixture model config: 'components' must be a list of model configs")
+    return MixtureSource(config["weights"], [model_from_config(c) for c in config["components"]])

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DecodeError, DomainError, NotPrefixFreeError
-from .sources import as_symbols
+from .sources import as_symbols, check_fields
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ def word_function_from_config(config):
     """
     if not isinstance(config, dict):
         raise ConfigError("codebook config must be a dict")
-    for field in ("input_alphabet", "output_alphabet", "code"):
-        if field not in config:
-            raise ConfigError(f"codebook config needs a '{field}' field")
+    check_fields(config, ("input_alphabet", "output_alphabet", "code"), "codebook")
     code = config["code"]
     if not isinstance(code, (list, tuple)):
         raise ConfigError("codebook 'code' must be a list of digit strings")
@@ -96,7 +94,7 @@ def word_function_from_config(config):
     for i, word in enumerate(code):
         if not isinstance(word, str) or not word:
             raise ConfigError(f"code[{i}] must be a nonempty string of digits")
-        if not word.isdigit():
+        if not (word.isascii() and word.isdigit()):
             raise ConfigError(f"code[{i}] contains a non-digit character")
         codewords.append(tuple(int(ch) for ch in word))
     sizes = config["input_alphabet"], config["output_alphabet"]

@@ -37,7 +37,7 @@ from wordsource.experiments import (
 from wordsource import experiments, oracles
 from wordsource.harness import resolve_config
 from wordsource.oracles import brute_force_induced_log_table
-from wordsource.sources import model_from_config
+from wordsource.sources import log_mixture, model_from_config
 
 NEG_INF = float("-inf")
 FAIR = IIDSource([0.5, 0.5])
@@ -536,7 +536,8 @@ def _reference_scan(measure, symbols, checkpoints):
                 seen.append(scale)
                 cp = next(cps, 0)
         marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
-    lps = [entropy._log_q(chain, scales) for scales in zip(*marks) if max(scales) > NEG_INF]
+    lps = [log_mixture(chain.log_weights, scales)
+           for scales in zip(*marks) if max(scales) > NEG_INF]
     return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
@@ -601,10 +602,12 @@ def test_interning_cap_never_moves_a_bit_on_long_paths():
 
 # -- property test: chain kernel against the brute-force oracle -----------------
 
-def test_oracle_never_imports_the_kernel():
-    # the cross-check is independent only while the oracle shares no code
-    # with the chain kernel
-    source = Path(__file__).resolve().parent.parent / "src" / "wordsource" / "oracles.py"
+MODEL_CLASSES = {"IIDSource", "MarkovSource", "MixtureSource"}
+
+
+def _imported_and_used(module):
+    """The names a package module imports, and those it reads or calls."""
+    source = Path(__file__).resolve().parent.parent / "src" / "wordsource" / f"{module}.py"
     imported, used = set(), set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -616,9 +619,81 @@ def test_oracle_never_imports_the_kernel():
             used.add(node.attr)
         elif isinstance(node, ast.Name):
             used.add(node.id)
+    return imported, used
+
+
+def test_oracle_never_imports_the_kernel():
+    # the cross-check is independent only while the oracle shares no code
+    # with the chain kernel
+    imported, used = _imported_and_used("oracles")
     # nor does it read tuples through the encoder or the sources' own cylinder sums
     assert not imported & {"entropy", "InducedMeasure", "encode_stream"}
     assert "cylinder_log_probability" not in used
+    # and it reads a model's law from its parts, never by model family
+    assert not (imported | used) & MODEL_CLASSES
+
+
+def test_kernel_names_no_model_class():
+    # the chain kernel builds every model's chain from its parts alone
+    imported, used = _imported_and_used("entropy")
+    assert not (imported | used) & MODEL_CLASSES
+
+
+@pytest.mark.parametrize("model", [
+    IIDSource([0.0, 0.3, 0.7]),
+    MarkovSource([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.6, 0.4]], [0.0, 0.5, 0.5]),
+    MixtureSource([0.0, 0.4, 0.6], [
+        IIDSource([0.1, 0.2, 0.7]), IIDSource([0.5, 0.0, 0.5]),
+        MarkovSource([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.3, 0.6, 0.1]], [0.0, 0.0, 1.0])]),
+], ids=["iid-zero-entry", "markov-zero-transition", "mixture-zero-weight"])
+def test_oracle_identity_table_equals_source_cylinders(model):
+    # the oracle reads a model's parts, each family's vectorised sum its own
+    # fields: under the identity codebook the two must agree on every tuple
+    A = model.alphabet_size
+    identity = WordFunction(A, A, tuple((a,) for a in range(A)))
+    for n in range(1, 5):
+        table = brute_force_induced_log_table(model, identity, n)
+        cells = np.array([model.cylinder_log_probability(t)
+                          for t in itertools.product(range(A), repeat=n)])
+        mask = cells > NEG_INF
+        assert np.array_equal(table > NEG_INF, mask)
+        assert not mask.all()
+        assert np.abs(table[mask] - cells[mask]).max() <= 1e-12
+
+
+PINNED_MODELS = {
+    "iid": IIDSource([0.3, 0.7]),
+    "markov": MarkovSource([[0.9, 0.1], [0.35, 0.65]], [0.2, 0.8]),
+    "mixture": MixtureSource([0.4, 0.6], [IIDSource([0.15, 0.85]),
+                                          MarkovSource([[0.7, 0.3], [0.45, 0.55]], [0.5, 0.5])]),
+}
+# sha256 prefixes of the oracle table and the block table at n = 6, under
+# {0, 10} and {0, 00}, and of the first-symbol law: a change to how a model's
+# law is read that moves any bit shows here
+PINNED_DIGESTS = {
+    ("iid", "marginal"): "f2e88390f06a48e7",
+    ("iid", "0,10"): ("ea93ee91dfa107bc", "0c26dc6965280880"),
+    ("iid", "0,00"): ("2df7a6b00421c1c8", "587048a5464d6596"),
+    ("markov", "marginal"): "00eb41ad719227ee",
+    ("markov", "0,10"): ("67192b7b360b93a9", "26f3f8fc34bc4aba"),
+    ("markov", "0,00"): ("104a04470595c301", "587048a5464d6596"),
+    ("mixture", "marginal"): "2de19e69ab35c1fa",
+    ("mixture", "0,10"): ("0fb4d90da40184a6", "ee62241020bdcab2"),
+    ("mixture", "0,00"): ("c18e700970250251", "587048a5464d6596"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+def test_oracle_block_table_and_marginal_digests_pinned(name):
+    def digest(array):
+        return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+    model = PINNED_MODELS[name]
+    assert digest(model.marginal_distribution()) == PINNED_DIGESTS[name, "marginal"]
+    for code, wf in (("0,10", WF), ("0,00", WF_ALL_ZERO)):
+        got = (digest(brute_force_induced_log_table(model, wf, 6)),
+               digest(block_log_probability_table(InducedMeasure(model, wf), 6)))
+        assert got == PINNED_DIGESTS[name, code]
 
 
 def test_oracle_exact_values():

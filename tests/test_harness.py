@@ -360,9 +360,14 @@ def test_cli_decode_error_exit_code(capsys):
 
 
 def test_cli_induced_prob(capsys):
+    # every line is a plain float repr, never a numpy scalar's
     assert main(["induced-prob", "--model", MODEL, "--codebook", CODEBOOK,
                  "--block", "10"]) == 0
-    assert "0.5" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        f"log_probability_nats: {math.log(0.5)!r}",
+        "log2_probability: -1.0",
+        "probability: 0.5",
+    ]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -379,6 +384,27 @@ def test_cli_induced_prob(capsys):
     (["check-prefix", "--codebook", json.dumps({**BAD_SIZE_CODEBOOK, "input_alphabet": 2,
                                                 "output_alphabet": 2.0})],
      "codebook 'input_alphabet'"),
+    # only ASCII 0-9 are symbols: '²' is a digit to str.isdigit, not to int()
+    (["encode", "--codebook", CODEBOOK, "--input", "0\u00b2"],
+     "expected a string of digit symbols, got '0\u00b2'"),
+    (["check-prefix", "--codebook",
+      '{"input_alphabet":2,"output_alphabet":2,"code":["0","\u00b2"]}'],
+     "code[1] contains a non-digit character"),
+    # a model or codebook config has exactly its type's fields, each named when wrong
+    (["induced-prob", "--model", '{"type":"mixture","weights":[1.0],"components":5}',
+      "--codebook", CODEBOOK, "--block", "0"], "'components' must be a list"),
+    (["induced-prob", "--model",
+      '{"type":"mixture","weights":[1.0],"components":{"a":{"type":"iid","dist":[0.5,0.5]}}}',
+      "--codebook", CODEBOOK, "--block", "0"], "'components' must be a list"),
+    (["induced-prob", "--model", '{"type":"iid","dist":[0.5,0.5],"P":[[0.9,0.1],[0.5,0.5]]}',
+      "--codebook", CODEBOOK, "--block", "0"], "iid model config has an unknown field 'P'"),
+    (["induced-prob", "--model", '{"type":"markov","P":[[0.9,0.1],[0.5,0.5]]}',
+      "--codebook", CODEBOOK, "--block", "0"], "markov model config needs a 'init' field"),
+    (["check-prefix", "--codebook",
+      '{"input_alphabet":2,"output_alphabet":2,"code":["0","10"],"codes":["1"]}'],
+     "codebook config has an unknown field 'codes'"),
+    (["check-prefix", "--codebook", '{"input_alphabet":2,"output_alphabet":2}'],
+     "codebook config needs a 'code' field"),
 ])
 def test_cli_malformed_model_or_codebook_exit_code(capsys, argv, message):
     assert main(argv) == 2
@@ -696,6 +722,7 @@ def test_cli_closed_stdout_exits_141_without_a_traceback():
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read().decode()
+    proc.stderr.close()
     assert proc.wait(timeout=120) == 141, err
     assert "internal error" not in err and "Traceback" not in err
 

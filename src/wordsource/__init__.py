@@ -54,6 +54,7 @@ from .entropy import (
     InducedMeasure,
     aep_experiment,
     block_log_probability_table,
+    block_log_probability_tables,
     component_bounds,
     conservation_report,
     joint_entropy_exact,

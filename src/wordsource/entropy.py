@@ -28,14 +28,17 @@ AEP experiment (per-path sample entropy against the component bound
 entropy-rate / expected-codeword-length). It runs as a finite automaton: a
 component's next vector and log increment depend only on (previous symbol,
 vector, symbol), so each step is taken once and stored on the measure's chain,
-keyed by that pair and symbol. The block tables behind H_n walk each
-component's tree of stored nodes depth first. One method computes a step from
-the chain's own moves, in a fixed float order, for the scan and the table walk
-alike, so a stored step is bitwise the step recomputed; past the cap of
-MAX_INTERNED_NODES nodes per measure new steps are computed, not stored. The
-scales add the same increments in the same order, and one helper combines them
-into log q only where it is read: at a scan's checkpoints, or at the table's
-live cells. A source model's own law mu is the identity-codebook case, so its
+keyed by that pair and symbol. One depth-first walk of each component's tree
+of stored nodes fills the block tables of every length 1 .. n behind
+H_1 .. H_n. One method computes a step from the chain's own moves, in a fixed
+float order, for the scan and the table walk alike, so a stored step is
+bitwise the step recomputed; past the cap of MAX_INTERNED_NODES nodes per
+measure new steps are computed, not stored. The scales add the same
+increments in the same order, and are combined into log q only where it is
+read: at a scan's checkpoints by ``sources.log_mixture``, and in the tables a
+chunk of cells at a time, with numpy's adds, max and component-order sums
+and ``math``'s exp and log, which is ``log_mixture`` per cell, bit for bit.
+A source model's own law mu is the identity-codebook case, so its
 scans and tables run on this kernel too. Shifted cylinder probabilities
 q(T^-i [b]) = (start T^i) . r_b, for sources too, step the same chain's dense
 transition matrix. A measure builds its chain once, on first use, as one state
@@ -61,6 +64,7 @@ from .sources import (
     LOG_PROB_SLACK,
     NEG_INF,
     PathSample,
+    _clamp_log_prob,
     as_symbols,
     log_mixture,
     seed_sequence,
@@ -73,6 +77,8 @@ DEFAULT_ENUMERATION_CELLS = 2**20
 DEFAULT_MAX_SHIFT_STEPS = 10**7
 # A measure interns at most this many forward nodes; later ones are not stored.
 MAX_INTERNED_NODES = 2**16
+# Block tables combine their components this many cells at a time.
+COMBINE_CHUNK = 2**16
 
 
 class _Chain:
@@ -317,54 +323,94 @@ class InducedMeasure:
         )
 
 
-def block_log_probability_table(measure, n):
-    """Log probabilities of every length-n cylinder, in lexicographic order.
+def block_log_probability_tables(measure, n):
+    """Log probabilities of every cylinder of length 1 .. n: tables[d - 1]
+    holds the B**d cylinders of length d, in lexicographic order.
 
-    Each component walks its own forward nodes depth first, sharing prefix
+    The cell cap is checked for B**n before any step is taken. Then each
+    component walks its own forward nodes depth first, once, sharing prefix
     work across tuples and pruning where it dies, and leaves its log scale
-    at every leaf it reaches; entry i corresponds to the base-|alphabet|
-    digits of i, and only the cells some component reaches are combined.
+    in its column at every depth; entry i of a length-d table corresponds to
+    the base-|alphabet| digits of i. Each depth's columns are combined by
+    ``_combine_columns``, in place of component 0's column.
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
     B = measure.alphabet_size
-    cells = B**n
-    if cells > DEFAULT_ENUMERATION_CELLS:
+    if B**n > DEFAULT_ENUMERATION_CELLS:
         raise ResourceError(
-            f"block table needs {cells} cylinders, over the cap of {DEFAULT_ENUMERATION_CELLS}"
+            f"block table needs {B**n} cylinders, over the cap of {DEFAULT_ENUMERATION_CELLS}"
         )
     chain = measure._chain
-    # one column of log scales per component; a dead prefix keeps -inf for its whole subtree
-    scales = np.full((len(chain.roots), cells), NEG_INF)
+    # columns[d][c]: component c's log scales at depth d + 1; a dead prefix
+    # keeps -inf for its whole subtree
+    columns = [[np.full(B**d, NEG_INF) for _ in chain.roots] for d in range(1, n + 1)]
+    # the walk writes one cell at a time, and a memoryview takes a float
+    # faster than an array does
+    views = [list(map(memoryview, depth)) for depth in columns]
     for c, root in enumerate(chain.roots):
-        column = scales[c]
+        # (node, its log scale, its depth, the index of its first child's cell)
         stack = [(root, 0.0, 0, 0)]
         while stack:
-            node, scale, depth, index = stack.pop()
+            node, scale, depth, first = stack.pop()
+            column, deeper = views[depth][c], depth + 1 < n
             for b, out in enumerate(node[1]):
                 if out is None:
                     out = chain.step(c, node, b)
                 if not out:
                     continue
                 child, inc = out
-                if depth + 1 < n:
-                    stack.append((child, scale + inc, depth + 1, index * B + b))
-                else:
-                    column[index * B + b] = scale + inc
-    live = np.flatnonzero(scales.max(axis=0) > NEG_INF)
-    table = np.full(cells, NEG_INF)
-    # memoryview rows yield Python floats one cell at a time, so no per-cell list is built
-    per_cell = zip(*map(memoryview, scales[:, live]))
-    lw = chain.log_weights
-    table[live] = np.fromiter((log_mixture(lw, cell) for cell in per_cell), float, live.size)
-    return table
+                column[first + b] = lp = scale + inc
+                if deeper:
+                    stack.append((child, lp, depth + 1, (first + b) * B))
+    return [_combine_columns(chain.log_weights, depth) for depth in columns]
+
+
+def block_log_probability_table(measure, n):
+    """Log probabilities of every length-n cylinder, in lexicographic order."""
+    return block_log_probability_tables(measure, n)[-1]
+
+
+def _combine_columns(log_weights, columns):
+    """``log_mixture(log_weights, cell)`` for every cell of the columns, bit
+    for bit, written over ``columns[0]`` and returned.
+
+    Cells are combined COMBINE_CHUNK at a time. numpy takes the adds, the
+    max and the component-order sums; exp and log stay in ``math``, mapped
+    over the cells with two or more live terms, because numpy's own differ
+    by 1 ulp. A dead term adds exp(-inf) = 0.0 to the sum, which moves no
+    bit; a cell with one live term is its max as it is, and a dead cell's
+    max is -inf.
+    """
+    out = columns[0]
+    for lo in range(0, out.size, COMBINE_CHUNK):
+        terms = [lw + column[lo:lo + COMBINE_CHUNK]
+                 for lw, column in zip(log_weights, columns)]
+        top = terms[0]
+        for t in terms[1:]:
+            top = np.maximum(top, t)
+        many = np.flatnonzero(sum(t > NEG_INF for t in terms) > 1)
+        if many.size:
+            m = top[many]
+            acc = np.zeros(many.size)
+            for t in terms:
+                acc += np.fromiter(map(math.exp, memoryview(t[many] - m)), float, many.size)
+            top[many] = m + np.fromiter(map(math.log, memoryview(acc)), float, many.size)
+        out[lo:lo + COMBINE_CHUNK] = top
+    _clamp_log_prob(float(out.max()))  # raises beyond the slack
+    out[out > 0.0] = 0.0
+    return out
+
+
+def _block_entropy(lps):
+    """H in bits of one block table; zero-probability cylinders add 0."""
+    finite = lps[lps > NEG_INF]
+    return float(0.0 - (np.exp(finite) * finite).sum() / LN2)
 
 
 def joint_entropy_exact(measure, n):
     """H_n in bits by full enumeration; zero-probability cylinders add 0."""
-    lps = block_log_probability_table(measure, n)
-    finite = lps[lps > NEG_INF]
-    return float(0.0 - (np.exp(finite) * finite).sum() / LN2)
+    return _block_entropy(block_log_probability_table(measure, n))
 
 
 @dataclass(frozen=True)
@@ -530,7 +576,7 @@ def conservation_report(model, word_function, block_cap=14):
     bounds = component_bounds(model, word_function)
     integral = math.fsum(cb.weight * cb.bound for cb in bounds)
     induced = InducedMeasure(model, word_function)
-    entropies = tuple(joint_entropy_exact(induced, n) for n in range(1, block_cap + 1))
+    entropies = tuple(map(_block_entropy, block_log_probability_tables(induced, block_cap)))
     return ConservationReport(
         integral_bound=integral,
         empirical_entropy_rate=entropies[-1] - entropies[-2],

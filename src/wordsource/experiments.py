@@ -19,7 +19,8 @@ from .entropy import (
     InducedMeasure,
     _scan,
     aep_experiment,
-    block_log_probability_table,
+    block_log_probability_table,  # unused here; bench/spans.py traces it under this module
+    block_log_probability_tables,
     conservation_report,
 )
 from .ergodic import (
@@ -135,8 +136,7 @@ def run_dp_oracle(cfg):
         prefix_free_count += pf
         induced = InducedMeasure(model, wf)
         pair_err = 0.0
-        for n in range(1, max_block + 1):
-            dp = block_log_probability_table(induced, n)
+        for n, dp in enumerate(block_log_probability_tables(induced, max_block), 1):
             oracle = brute_force_induced_log_table(model, wf, n)
             dp_mask = dp > NEG_INF
             or_mask = oracle > NEG_INF

@@ -337,10 +337,11 @@ def run_experiment(config):
         or os.environ.get(OUTPUT_DIR_ENV)
         or "results"
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = fn(config)
     elapsed = time.perf_counter() - start
+    # made only now, so a run that raises leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     summary_doc = {
         "experiment": result.name,

@@ -25,6 +25,7 @@ from wordsource import (
     conservation_report,
     encode_stream,
     entropy,
+    is_prefix_free,
     joint_entropy_exact,
     sample_entropy_trace,
 )
@@ -295,6 +296,16 @@ def test_conservation_mixture():
     target = 0.5 * (2 / 3) + 0.5 * (binary_entropy(0.9) / 1.1)
     assert report.integral_bound == pytest.approx(target, abs=1e-12)
     assert abs(report.empirical_entropy_rate - target) < 0.05
+
+
+def test_conservation_over_the_cell_cap_fails_before_any_step(monkeypatch):
+    # H_21 needs 2^21 cells: refused up front, not after computing H_1 .. H_20
+    def step(*args):
+        raise AssertionError("a forward step was taken")
+
+    monkeypatch.setattr(entropy._Chain, "step", step)
+    with pytest.raises(ResourceError):
+        conservation_report(FAIR, WordFunction(2, 2, ((0,), (1,))), block_cap=21)
 
 
 # -- per-tuple log-probability identity ----------------------------------------------
@@ -598,6 +609,116 @@ def test_interning_cap_never_moves_a_bit_on_long_paths():
 
     _assert_bitwise_equal(_under_each_cap(trace))
     _assert_bitwise_equal(_under_each_cap(aep))
+
+
+# -- one walk for every block length ---------------------------------------------
+
+def _reference_table(measure, n):
+    """The length-n table as one walk per length builds it: every component's
+    tree walked again from its root to depth n, and each cell combined by its
+    own ``log_mixture`` call."""
+    chain = measure._chain
+    B = measure.alphabet_size
+    scales = np.full((len(chain.roots), B**n), NEG_INF)
+    for c, root in enumerate(chain.roots):
+        stack = [(root, 0.0, 0, 0)]
+        while stack:
+            node, scale, depth, index = stack.pop()
+            for b, out in enumerate(node[1]):
+                if out is None:
+                    out = chain.step(c, node, b)
+                if not out:
+                    continue
+                child, inc = out
+                if depth + 1 < n:
+                    stack.append((child, scale + inc, depth + 1, index * B + b))
+                else:
+                    scales[c, index * B + b] = scale + inc
+    return np.array([log_mixture(chain.log_weights, cell) for cell in scales.T.tolist()])
+
+
+def _random_dist(rng, size, zeros):
+    dist = rng.dirichlet(np.ones(size))
+    if zeros and rng.random() < 0.5:
+        dist[rng.integers(size)] = 0.0
+        dist /= dist.sum()
+    return dist.tolist()
+
+
+def _random_pair(rng):
+    """A random model with zero entries or a zero weight, and a random code."""
+    A, B = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    kind = rng.integers(3)
+    if kind == 0:
+        model = IIDSource(_random_dist(rng, A, zeros=True))
+    elif kind == 1:
+        model = MarkovSource([_random_dist(rng, A, zeros=True) for _ in range(A)],
+                             _random_dist(rng, A, zeros=True))
+    else:
+        # mixture components must be ergodic: IID, or Markov with full support
+        comps = [IIDSource(_random_dist(rng, A, zeros=True)) if rng.random() < 0.5
+                 else MarkovSource([_random_dist(rng, A, zeros=False) for _ in range(A)],
+                                   _random_dist(rng, A, zeros=True))
+                 for _ in range(int(rng.integers(2, 4)))]
+        model = MixtureSource(_random_dist(rng, len(comps), zeros=True), comps)
+    if rng.random() < 0.5:
+        wf = random_prefix_free_codebook(rng, A, B, max_len=3)
+    else:
+        wf = random_codebook(rng, A, B, max_len=3)
+    return model, wf
+
+
+@pytest.mark.parametrize("chunk", [7, entropy.COMBINE_CHUNK])
+def test_block_tables_equal_one_walk_per_length(monkeypatch, chunk):
+    # one walk fills every length's columns and the chunked combine is
+    # log_mixture per cell: each table is bitwise the per-length table
+    monkeypatch.setattr(entropy, "COMBINE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    seen = set()
+    for _ in range(150):
+        model, wf = _random_pair(rng)
+        B = wf.output_alphabet_size
+        n = 8 if B == 2 else 5
+        tables = entropy.block_log_probability_tables(InducedMeasure(model, wf), n)
+        assert len(tables) == n
+        for length, table in enumerate(tables, 1):
+            want = _reference_table(InducedMeasure(model, wf), length)
+            assert table.tobytes() == want.tobytes()
+        seen.add((type(model).__name__, B, bool(is_prefix_free(wf))))
+    assert len(seen) == 12
+
+
+def test_block_table_of_more_than_one_chunk_equals_one_walk():
+    # {0, 10} never emits 11, so both chunks of the 2^17 cells hold live ones
+    n = 17
+    assert 2**n > entropy.COMBINE_CHUNK
+    table = block_log_probability_table(InducedMeasure(MIX, WF), n)
+    assert table.tobytes() == _reference_table(InducedMeasure(MIX, WF), n).tobytes()
+    assert all(np.isfinite(half).any() for half in np.split(table, 2))
+
+
+def test_combine_is_log_mixture_per_cell(monkeypatch):
+    monkeypatch.setattr(entropy, "COMBINE_CHUNK", 2)
+    log_weights = (math.log(0.2), math.log(0.3), math.log(0.5))
+    cells = [
+        (NEG_INF, NEG_INF, NEG_INF),   # dead
+        (NEG_INF, -1.5, NEG_INF),      # one live term
+        (-0.7, -0.7, -0.7),            # equal terms
+        (-2.0, NEG_INF, -0.25),
+        (-1e-300, -800.0, -3.0),       # a term whose exp underflows
+    ]
+    # within the slack above 0 gives 0.0
+    cells.append(tuple(-lw + 5e-10 for lw in log_weights[:1]) + (NEG_INF, NEG_INF))
+    got = entropy._combine_columns(log_weights, [np.array(col) for col in zip(*cells)])
+    want = np.array([log_mixture(log_weights, cell) for cell in cells])
+    assert got.tobytes() == want.tobytes()
+    assert got[-1] == 0.0 and got[0] == NEG_INF
+    # beyond the slack raises, as log_mixture does
+    beyond = (-log_weights[0] + 1e-6, NEG_INF, NEG_INF)
+    with pytest.raises(ArithmeticError):
+        log_mixture(log_weights, beyond)
+    with pytest.raises(ArithmeticError):
+        entropy._combine_columns(log_weights, [np.array(col) for col in zip(*cells, beyond)])
 
 
 # -- property test: chain kernel against the brute-force oracle -----------------

@@ -500,10 +500,20 @@ def test_cli_log_identity_over_the_enumeration_cap_exits_as_resource_error(tmp_p
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "resource error: " in err and "2097152 tuples" in err and "1048576" in err
-    assert not out.exists() or not any(out.iterdir())
+    # the output directory is made only once the experiment has returned
+    assert not out.exists()
 
     cfg.write_text(json.dumps({"experiment": "log-identity"}))
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_cli_run_that_raises_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "aep.json"
+    cfg.write_text(json.dumps({"experiment": "aep-prefix-free", "params": {"block_cap": 1}}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "block cap must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_coder_equivalence_short_horizon_exits_as_config_error(tmp_path, capsys):

@@ -9,7 +9,8 @@ partial density, always inside [1/N, 1].
 
 Two independent routes produce xi: directly from the orbit, and through the
 finite-state coder that counts down the pending block length (state s starts
-at 0, reloads to u-1 at block starts, emits 1 exactly at reloads). Their
+at 0, reloads to u-1 at block starts, emits 1 exactly at reloads), walked
+as a ``sources.BlockAutomaton`` over N states, one table per N. Their
 bit-for-bit equality is one of the package's executable identities. The
 check runs the coder first: its marks over positions 0 .. horizon are the
 orbit steps that pass the horizon, so they set the orbit's step count, and
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
-from .sources import as_symbols
+from .sources import BlockAutomaton, as_symbols
 
 # gamma tables are extensional over alphabet**lookahead windows; cap both the
 # lookahead and the table size so construction stays desk-scale.
@@ -232,10 +233,16 @@ def finite_state_orbit_coder(lengths, horizon, max_shift=None):
     decrements. Length entries at non-start positions are read but never
     consumed. The output equals the weight sequence of the orbit whose block
     lengths appear in ``lengths`` at block starts.
+
+    The countdown has N = ``max_shift`` states (the largest length when it
+    is None); N above 1024 needs a table over the automaton cap and raises
+    ResourceError.
     """
     u = np.asarray(lengths, dtype=np.int64)
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
+    if max_shift is not None and max_shift < 1:
+        raise DomainError("max shift must be >= 1")
     if horizon > u.size:
         raise RangeError(f"horizon {horizon} exceeds the {u.size} provided lengths")
     if u.size:
@@ -243,16 +250,21 @@ def finite_state_orbit_coder(lengths, horizon, max_shift=None):
             raise DomainError("length values must be >= 1")
         if max_shift is not None and u.max() > max_shift:
             raise DomainError(f"length values must be <= {max_shift}")
-    z = bytearray(horizon)
-    state = 0
-    ul = u.tolist()
-    for i in range(horizon):
-        if state == 0:
-            z[i] = 1
-            state = ul[i] - 1
-        else:
-            state -= 1
-    return np.frombuffer(z, np.uint8).astype(np.int64)
+    if max_shift is None:
+        max_shift = int(u.max(initial=1))
+    z = np.zeros(horizon, dtype=np.int64)
+    z[:1] = 1
+    # the state before position i is the countdown's state after inputs
+    # u_0 - 1 .. u_{i-1} - 1, and position i is marked when it is 0
+    z[1:] = _countdown(max_shift).walk(0, u[:horizon][:-1] - 1) == 0
+    return z
+
+
+@functools.lru_cache(maxsize=16)
+def _countdown(N):
+    """The coder's automaton over N states: state 0 reloads to the input
+    u - 1, any other state s counts down to s - 1."""
+    return BlockAutomaton(N, N, lambda s: np.arange(N) if s == 0 else s - 1)
 
 
 class BellowPartials(NamedTuple):

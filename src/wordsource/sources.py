@@ -23,6 +23,10 @@ source's block tables and sample-entropy traces. Their Cesaro averages (the
 finite-horizon AMS diagnostic) come from ``ergodic.ams_diagnostic``, for
 sources and induced measures alike.
 
+A Markov path is walked as a ``BlockAutomaton``, k symbols per Python step;
+each row sends a whole interval between the rows' merged cumulative sums to
+one successor, so every seeded path is the per-step ``searchsorted`` walk's.
+
 Mixtures realise the ergodic decomposition extensionally: sampling draws one
 component per path and holds it fixed, so each realisation is governed by a
 single ergodic component, and the mixture's cylinder probabilities are the
@@ -47,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedModelError
+from .errors import ConfigError, DomainError, ResourceError, UnsupportedModelError
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
@@ -55,8 +59,15 @@ LN2 = math.log(2.0)
 # Sum tolerance accepted for probability vectors before renormalisation.
 PROB_SUM_TOL = 1e-9
 
-# Uniforms per bulk successor lookup in Markov sampling.
+# Inputs per chunk of a BlockAutomaton walk, which bounds its per-chunk arrays.
 SAMPLE_CHUNK = 4096
+
+# A BlockAutomaton of K states and M input classes reads k inputs per Python
+# step, the largest k with max(M, 2)**k <= BLOCK_CODES block codes and
+# K * M**k * k <= MAX_AUTOMATON_ENTRIES tabulated states; K * M above the cap
+# is refused.
+BLOCK_CODES = 1024
+MAX_AUTOMATON_ENTRIES = 2**20
 
 
 def as_symbols(symbols, alphabet_size):
@@ -183,6 +194,61 @@ def _levels(adj):
     return level
 
 
+class BlockAutomaton:
+    """A deterministic finite automaton over states 0..K-1 and input classes
+    0..M-1, walked k inputs per Python step.
+
+    ``row(s)`` gives state s's successor on every input class. For each state
+    and block code (k inputs as a base-M number) a table built once holds the
+    k states the block passes through, in the smallest unsigned dtype. A walk
+    takes one Python step per block and gathers the states a chunk at a time.
+    """
+
+    def __init__(self, K, M, row):
+        if K * M > MAX_AUTOMATON_ENTRIES:
+            raise ResourceError(f"an automaton of {K} states and {M} input classes needs "
+                                f"{K * M} table entries (cap {MAX_AUTOMATON_ENTRIES})")
+        k = 1
+        while (max(M, 2) ** (k + 1) <= BLOCK_CODES
+               and K * M ** (k + 1) * (k + 1) <= MAX_AUTOMATON_ENTRIES):
+            k += 1
+        step = np.empty((K, M), np.intp)
+        for s in range(K):
+            step[s] = row(s)
+        # states[s, c, j], the state after input j of code c read from s, is
+        # ``state`` after j + 1 inputs, a function of c's leading j + 1 digits
+        states = np.empty((K, M**k, k), np.min_scalar_type(K - 1))
+        state = np.arange(K)[:, None]
+        for j in range(k):
+            state = step[state].reshape(K, -1)
+            states.reshape(K, M ** (j + 1), -1, k)[:, :, :, j] = state[:, :, None]
+        self.blocks = states.reshape(-1, k)  # row s * M**k + c
+        self.ends = state.tolist()
+        self.powers = M ** np.arange(k - 1, -1, -1)
+
+    def walk(self, state, inputs):
+        """The state after each of ``inputs`` (a 1-D integer array of input
+        classes), read from ``state``."""
+        k = self.powers.size
+        ends, n_codes = self.ends, len(self.ends[0])
+        out = np.empty(inputs.size, self.blocks.dtype)
+        # whole blocks per chunk, so only the last chunk ends in a part block,
+        # padded with class 0; nothing reads the state after it
+        span = max(SAMPLE_CHUNK // k, 1) * k
+        for lo in range(0, inputs.size, span):
+            x = inputs[lo:lo + span]
+            if x.size % k:
+                x = np.concatenate([x, np.zeros(-x.size % k, x.dtype)])
+            codes = x.reshape(-1, k) @ self.powers
+            starts = []
+            for c in codes.tolist():
+                starts.append(state)
+                state = ends[state][c]
+            rows = np.fromiter(starts, np.intp, len(starts)) * n_codes + codes
+            out[lo:lo + span] = self.blocks.take(rows, axis=0).ravel()[:out.size - lo]
+        return out
+
+
 @dataclass(frozen=True)
 class PathSample:
     """A sampled realisation, reproducible from (model_id, seed).
@@ -210,7 +276,7 @@ class SourceModel:
     def config_dict(self):
         raise NotImplementedError
 
-    @property
+    @cached_property
     def model_id(self):
         blob = json.dumps(self.config_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
@@ -348,28 +414,29 @@ class MarkovSource(SourceModel):
             logp = logp + self._log_matrix[arr[:-1], arr[1:]].sum()
         return float(logp)
 
+    @cached_property
+    def _automaton(self):
+        """(breakpoints, automaton) of the sampler, built on first sample.
+
+        A uniform's input class is its interval among the rows' distinct
+        cumulative sums inside (0, 1). No row's sum falls inside an interval,
+        so each row sends all of it where it sends the interval's left end.
+        """
+        breaks = np.array(sorted({v for v in self._cum_rows.flat if 0.0 < v < 1.0}))
+        left = np.concatenate(([0.0], breaks))
+        return breaks, BlockAutomaton(self.alphabet_size, left.size, lambda s: np.minimum(
+            np.searchsorted(self._cum_rows[s], left, side="right"), self._row_top[s]))
+
     def _sample(self, rng, length):
+        breaks, automaton = self._automaton
         u = rng.random(length)
+        state = min(int(np.searchsorted(np.cumsum(self.initial), u[0], side="right")),
+                    self._init_top)
+        inputs = np.searchsorted(breaks, u[1:], side="right")
+        del u  # the path takes its place
         out = np.empty(length, dtype=np.int64)
-        cum_init = np.cumsum(self.initial)
-        state = int(np.searchsorted(cum_init, u[0], side="right"))
-        if state > self._init_top:
-            state = self._init_top
         out[0] = state
-        # Look up each state's successor for a whole chunk of uniforms at
-        # once, then walk the chain through those tables; the chunk bounds
-        # the tables' memory.
-        for start in range(1, length, SAMPLE_CHUNK):
-            chunk = u[start:start + SAMPLE_CHUNK]
-            successors = [
-                np.minimum(np.searchsorted(cum, chunk, side="right"), top).tolist()
-                for cum, top in zip(self._cum_rows, self._row_top)
-            ]
-            walk = []
-            for i in range(chunk.size):
-                state = successors[state][i]
-                walk.append(state)
-            out[start:start + chunk.size] = walk
+        out[1:] = automaton.walk(state, inputs)
         return out, None
 
     @cached_property

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wordsource import sources
 from wordsource import (
     DomainError,
     RangeError,
+    ResourceError,
     TimeSubsequence,
     VariableLengthShiftSpec,
     WordFunction,
@@ -21,7 +23,7 @@ from wordsource import (
     weight_sequence,
 )
 from wordsource.experiments import _periodic_case_limit, random_prefix_free_codebook
-from wordsource.shifts import _window_codes
+from wordsource.shifts import _countdown, _window_codes
 
 
 def test_constant_one_is_left_shift():
@@ -147,6 +149,50 @@ def test_orbit_coder_domain_errors():
         finite_state_orbit_coder([5], 1, max_shift=4)
     with pytest.raises(RangeError):
         finite_state_orbit_coder([1, 1], 3)
+    with pytest.raises(DomainError):
+        finite_state_orbit_coder([], 0, max_shift=0)
+
+
+
+def _reference_coder(lengths, horizon):
+    """The one-position-at-a-time countdown that the block automaton replaced."""
+    z = np.zeros(horizon, dtype=np.int64)
+    state = 0
+    for i in range(horizon):
+        if state == 0:
+            z[i] = 1
+            state = int(lengths[i]) - 1
+        else:
+            state -= 1
+    return z
+
+
+@pytest.mark.parametrize("chunk", [5, sources.SAMPLE_CHUNK])
+def test_orbit_coder_equals_the_countdown_loop(chunk, monkeypatch):
+    monkeypatch.setattr(sources, "SAMPLE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for N in (1, 2, 3, 4):
+        # the walk reads horizon - 1 inputs, k per block, in chunks of whole blocks
+        k = _countdown(N).powers.size
+        span = max(sources.SAMPLE_CHUNK // k, 1) * k
+        horizons = {0, 1, 2, k - 1, k, k + 1, k + 2, span, span + 1, span + 2,
+                    sources.SAMPLE_CHUNK - 1, sources.SAMPLE_CHUNK,
+                    sources.SAMPLE_CHUNK + 1, 10**4}
+        for horizon in sorted(h for h in horizons if h >= 0):
+            for _ in range(3):
+                u = rng.integers(1, N + 1, size=horizon + 2)
+                ref = _reference_coder(u, horizon)
+                for max_shift in (N, None, N + 2):
+                    z = finite_state_orbit_coder(u, horizon, max_shift=max_shift)
+                    assert z.dtype == np.int64 and np.array_equal(z, ref), (N, horizon)
+
+
+def test_orbit_coder_refuses_a_table_over_the_cap():
+    # N states by N input classes: 10**6 would ask for 10**12 table entries
+    with pytest.raises(ResourceError, match="cap 1048576"):
+        finite_state_orbit_coder([10**6], 1)
+    with pytest.raises(ResourceError):
+        finite_state_orbit_coder([1, 1], 2, max_shift=1025)
 
 
 def test_coder_equals_orbit_weights_randomized():

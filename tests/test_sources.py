@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from wordsource import sources
 from wordsource import (
     ConfigError,
     DomainError,
@@ -14,6 +15,7 @@ from wordsource import (
     MarkovSource,
     MixtureSource,
     RangeError,
+    ResourceError,
     UnsupportedModelError,
     ams_diagnostic,
     model_from_config,
@@ -144,6 +146,108 @@ def test_markov_sample_paths_pinned(name):
     for seed, digest in enumerate(digests):
         symbols = model.sample_path(10_000, seed).symbols
         assert hashlib.sha256(symbols.astype("<i8").tobytes()).hexdigest() == digest
+
+
+
+def _reference_sample(model, rng, length):
+    """The per-step successor walk that the block automaton replaced."""
+    u = rng.random(length)
+    out = np.empty(length, dtype=np.int64)
+    state = int(np.searchsorted(np.cumsum(model.initial), u[0], side="right"))
+    if state > model._init_top:
+        state = model._init_top
+    out[0] = state
+    for start in range(1, length, 4096):
+        chunk = u[start:start + 4096]
+        successors = [
+            np.minimum(np.searchsorted(cum, chunk, side="right"), top).tolist()
+            for cum, top in zip(model._cum_rows, model._row_top)
+        ]
+        walk = []
+        for i in range(chunk.size):
+            state = successors[state][i]
+            walk.append(state)
+        out[start:start + chunk.size] = walk
+    return out
+
+
+def _random_chain(rng, K):
+    """A K-state chain whose rows and initial law have zero entries, last ones too."""
+    def law():
+        p = rng.uniform(0.0, 1.0, K) * (rng.uniform(size=K) > 0.35)
+        if not p.any():
+            p[rng.integers(K)] = 1.0
+        return p / p.sum()
+    return MarkovSource([law() for _ in range(K)], law())
+
+
+def _path_lengths(model):
+    # the walk reads length - 1 inputs, k per block, in chunks of whole blocks
+    k = model._automaton[1].powers.size
+    span = max(sources.SAMPLE_CHUNK // k, 1) * k
+    return sorted({n for n in (1, 2, k - 1, k, k + 1, k + 2, span, span + 1, span + 2,
+                               sources.SAMPLE_CHUNK - 1, sources.SAMPLE_CHUNK,
+                               sources.SAMPLE_CHUNK + 1, 10**4) if n >= 1})
+
+
+@pytest.mark.parametrize("chunk", [5, sources.SAMPLE_CHUNK])
+def test_markov_sampler_equals_the_per_step_walk(chunk, monkeypatch):
+    monkeypatch.setattr(sources, "SAMPLE_CHUNK", chunk)
+    rng = np.random.default_rng(2024 + chunk)
+    for trial in range(100):
+        model = _random_chain(rng, int(rng.integers(2, 6)))
+        seed = int(rng.integers(1 << 30))
+        for length in _path_lengths(model):
+            if length == 10**4 and trial % 10:
+                continue  # the longest paths on every tenth chain keep the test short
+            ref = _reference_sample(model, np.random.default_rng(seed), length)
+            got, _ = model._sample(np.random.default_rng(seed), length)
+            assert got.dtype == np.int64 and np.array_equal(got, ref), (trial, length)
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random(n)`` returns given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        return np.resize(self.values, n)
+
+
+def test_markov_sampler_on_zeros_breakpoints_and_clamped_rows():
+    # each cumulative row of ten 0.1 entries ends at 1 - 2^-53, below 1, so a
+    # uniform at or past it clamps to the row's top supported symbol
+    P = np.full((10, 10), 0.1)
+    P[1] = [0.2] + [0.1] * 8 + [0.0]
+    P[2] = [0.0] * 5 + [0.2] * 5
+    model = MarkovSource(P, [0.1] * 10)
+    assert model._cum_rows[0, -1] < 1.0 and model._cum_rows[1, -1] < 1.0
+    top = np.nextafter(1.0, 0.0)
+    cases = [
+        [0.0],
+        np.sort(np.concatenate([model._cum_rows.ravel(), [0.0, top]])),
+        [top, 0.95, top, 0.0, top, model._cum_rows[1, -1], top],
+        np.random.default_rng(3).choice(np.concatenate([model._cum_rows.ravel(), [top]]), 500),
+    ]
+    for values in cases:
+        for length in (1, 2, 11, 500, 4099):
+            got, _ = model._sample(_Uniforms(values), length)
+            assert np.array_equal(got, _reference_sample(model, _Uniforms(values), length))
+    clamped, _ = model._sample(_Uniforms([top, 0.95, top]), 3)
+    assert clamped.tolist() == [9, 9, 9]
+
+
+def test_markov_sampler_fits_101_states_and_refuses_a_larger_table():
+    # distinct cumulative sums: 101 states need 101 * (101**2 + 1) <= 2**20
+    # table entries, 1000 states about 1e9
+    rng = np.random.default_rng(5)
+    model = MarkovSource(rng.dirichlet(np.ones(101), 101), np.full(101, 1 / 101))
+    got, _ = model._sample(np.random.default_rng(1), 3000)
+    assert np.array_equal(got, _reference_sample(model, np.random.default_rng(1), 3000))
+    big = MarkovSource(rng.dirichlet(np.ones(1000), 1000), np.full(1000, 1e-3))
+    with pytest.raises(ResourceError, match="cap 1048576"):
+        big.sample_path(10, 0)
 
 
 def test_mixture_degenerate_weights_sample_single_component():

@@ -5,8 +5,9 @@ thin wrappers over the library. ``run`` executes a named, config-driven
 experiment and writes CSV/JSON results.
 
 Exit codes: 0 pass, 1 experiment verdict failure, 2 config or input error,
-3 resource-cap breach, 4 internal error (a fault in the package itself),
-141 stdout closed early by its reader (128 + SIGPIPE, as a shell reports it).
+3 resource-cap breach or an allocation the machine refuses (MemoryError),
+4 internal error (a fault in the package itself), 141 stdout closed early by
+its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def main(argv=None):
             UnsupportedModelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
-    except ResourceError as exc:
+    except (ResourceError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         code = EXIT_RESOURCE
     except Exception as exc:  # a fault of the package, not a failed verdict

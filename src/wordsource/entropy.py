@@ -41,10 +41,10 @@ and ``math``'s exp and log, which is ``log_mixture`` per cell, bit for bit.
 A source model's own law mu is the identity-codebook case, so its
 scans and tables run on this kernel too. Shifted cylinder probabilities
 q(T^-i [b]) = (start T^i) . r_b, for sources too, step the same chain's dense
-transition matrix. A measure builds its chain once, on first use, as one state
-layout over (component, a, k) that both the forward steps and the dense matrix
-are read from; a source model keeps its identity-codebook measure, so its
-chain is built once per model.
+transition matrix. A chain is built once per measure, on first use, from a
+law's ``parts`` and the codewords alone, as one state layout over (component,
+a, k) that both the forward steps and the dense matrix are read from; a source
+model keeps its identity-codebook chain, never a measure of itself.
 """
 
 from __future__ import annotations
@@ -65,11 +65,13 @@ from .sources import (
     NEG_INF,
     PathSample,
     _clamp_log_prob,
+    as_cylinder,
     as_symbols,
     log_mixture,
     seed_sequence,
 )
-from .wordcode import WordFunction, encode_stream, expected_codeword_length, is_prefix_free
+from .wordcode import (WordFunction, check_alphabets, encode_stream, expected_codeword_length,
+                       is_prefix_free)
 
 # Full block enumerations refuse to build more than this many cylinders.
 DEFAULT_ENUMERATION_CELLS = 2**20
@@ -82,7 +84,8 @@ COMBINE_CHUNK = 2**16
 
 
 class _Chain:
-    """The output chain of one measure, and the forward nodes its scans walk.
+    """The output chain of a law's ``parts`` under ``codewords`` over B
+    output symbols, and the forward nodes its scans walk.
 
     The states are (c, a, k) for every component c of positive weight, in
     component, input-symbol, then offset order, numbered from 0; state s
@@ -99,12 +102,10 @@ class _Chain:
     interns the others by key.
     """
 
-    def __init__(self, model, word_function):
-        codewords = word_function.codewords
-        B = word_function.output_alphabet_size
+    def __init__(self, parts, codewords, B):
         emits, moves, self.spans, self.starts, log_weights = [], [], [], [], []
         self.emits, self.moves = emits, moves
-        for weight, log_weight, first, rows in model.parts:
+        for weight, log_weight, first, rows in parts:
             if not weight > 0.0:
                 continue
             first, rows = first.tolist(), rows.tolist()
@@ -236,11 +237,7 @@ class InducedMeasure:
     def __init__(self, model, word_function):
         if not isinstance(word_function, WordFunction):
             raise DomainError("expected a WordFunction")
-        if model.alphabet_size != word_function.input_alphabet_size:
-            raise DomainError(
-                f"model alphabet size {model.alphabet_size} does not match "
-                f"codebook input alphabet {word_function.input_alphabet_size}"
-            )
+        check_alphabets(model, word_function)
         self.model = model
         self.word_function = word_function
         self.alphabet_size = word_function.output_alphabet_size
@@ -251,13 +248,11 @@ class InducedMeasure:
 
     @cached_property
     def _chain(self):
-        return _Chain(self.model, self.word_function)
+        return _Chain(self.model.parts, self.word_function.codewords, self.alphabet_size)
 
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""
-        arr = as_symbols(symbols, self.alphabet_size)
-        if arr.size == 0:
-            raise DomainError("cylinder tuple must be nonempty")
+        arr = as_cylinder(symbols, self.alphabet_size)
         lps, _ = _scan(self, arr.tolist(), [arr.size])
         return lps[0] if lps else NEG_INF
 
@@ -270,13 +265,12 @@ class InducedMeasure:
         one backward pass over b, then one forward step per shift. Once the
         forward vector repeats bitwise, every later value repeats with it, so
         stepping stops and the cycle is replayed, bit identical to stepping
-        on. Shift 0 is the cylinder itself, read from
-        ``cylinder_log_probability`` so that the two agree bitwise. Sums run
-        in a fixed order; values that rounding lifts above 1 are clamped.
+        on. Shift 0 is the cylinder itself, read from the kernel's
+        ``InducedMeasure.cylinder_log_probability`` so that the two agree
+        bitwise. Sums run in a fixed order; values that rounding lifts above
+        1 are clamped. A source model runs this too, on its own ``_chain``.
         """
-        arr = as_symbols(symbols, self.alphabet_size)
-        if arr.size == 0:
-            raise DomainError("cylinder tuple must be nonempty")
+        arr = as_cylinder(symbols, self.alphabet_size)
         shifts = np.asarray(shift)
         if shifts.ndim > 1 or shifts.dtype.kind not in "iu":
             raise DomainError("shift must be an integer or a 1-D array of integers")
@@ -304,7 +298,7 @@ class InducedMeasure:
             v = (matrix_t * v).sum(axis=1)
         out = np.array(values)[index]
         if not flat.all():
-            out[flat == 0] = math.exp(self.cylinder_log_probability(arr))
+            out[flat == 0] = math.exp(InducedMeasure.cylinder_log_probability(self, arr))
         peak = out.max(initial=0.0)
         if peak > 1.0 + LOG_PROB_SLACK:
             raise ArithmeticError(f"probability {peak!r} exceeds 1 beyond numerical slack")

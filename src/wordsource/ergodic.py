@@ -30,6 +30,12 @@ from .sources import as_symbols, seed_sequence
 MAX_CYLINDER_ORDER = 12
 
 
+def check_order(order):
+    """Raise DomainError unless a cylinder function may have this order."""
+    if order < 1 or order > MAX_CYLINDER_ORDER:
+        raise DomainError(f"order must be in 1..{MAX_CYLINDER_ORDER}")
+
+
 def _trailing_spread(values):
     """Max minus min over the last quartile (at least two points) of a trace."""
     if len(values) == 0:
@@ -49,8 +55,7 @@ class CylinderFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1 or self.order > MAX_CYLINDER_ORDER:
-            raise DomainError(f"order must be in 1..{MAX_CYLINDER_ORDER}")
+        check_order(self.order)
         table = np.asarray(self.table, dtype=float).reshape(-1)
         if table.size != self.alphabet_size**self.order:
             raise DomainError(

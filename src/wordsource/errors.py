@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: config problems exit 2, resource-cap
-breaches exit 3, experiment verdict failures exit 1. Any other exception,
-such as the ArithmeticError of a probability beyond numerical slack, is an
-internal fault and exits 4, never 1.
+breaches and a MemoryError exit 3, experiment verdict failures exit 1. Any
+other exception, such as the ArithmeticError of a probability beyond
+numerical slack, is an internal fault and exits 4, never 1.
 """
 
 

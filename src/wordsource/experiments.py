@@ -26,6 +26,7 @@ from .entropy import (
 from .ergodic import (
     CylinderFunction,
     ams_diagnostic,
+    check_order,
     default_checkpoints,
     ergodicity_spread,
     time_average,
@@ -367,8 +368,16 @@ def run_output_ergodicity(cfg):
         if model.alphabet_size != wf.input_alphabet_size:
             raise ConfigError(f"params.{path}: a model over {model.alphabet_size} "
                               f"symbols, but the codebook reads {wf.input_alphabet_size}")
-    battery_in = _indicator_battery(wf.input_alphabet_size, int(p["max_order"]))
-    battery_out = _indicator_battery(wf.output_alphabet_size, int(p["max_order"]))
+    max_order = int(p["max_order"])
+    check_order(max_order)
+    # the larger alphabet's battery holds A**k tables of A**k cells per order k
+    A = max(wf.input_alphabet_size, wf.output_alphabet_size)
+    cells = sum(A ** (2 * k) for k in range(1, max_order + 1))
+    if cells > DEFAULT_ENUMERATION_CELLS:
+        raise ResourceError(f"params.max_order: {max_order} needs {cells} indicator table cells "
+                            f"over {A} symbols, over the cap of {DEFAULT_ENUMERATION_CELLS}")
+    battery_in = _indicator_battery(wf.input_alphabet_size, max_order)
+    battery_out = _indicator_battery(wf.output_alphabet_size, max_order)
     cps = default_checkpoints(horizon)
     rows = []
     all_ok = True
@@ -376,14 +385,14 @@ def run_output_ergodicity(cfg):
     children = root.spawn(len(named_models) + 1)
     for (name, model), child in zip(named_models, children):
         for path_idx, path_seed in enumerate(child.spawn(int(p["battery_paths"]))):
-            need = horizon + int(p["max_order"])
+            need = horizon + max_order
             ps = model.sample_path(need, path_seed)
             enc = encode_stream(wf, ps.symbols)
             source_conv = all(
                 time_average(ps.symbols, g, cps, tol=conv_tol).converged
                 for g in battery_in
             )
-            out_syms = enc.output[: horizon + int(p["max_order"])]
+            out_syms = enc.output[: horizon + max_order]
             output_conv = all(
                 time_average(out_syms, g, cps, tol=conv_tol).converged
                 for g in battery_out

@@ -225,7 +225,7 @@ def resolve_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     name = raw.get("experiment")
-    if name not in REGISTRY:
+    if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(
             f"experiment: unknown name {name!r}; valid names: {sorted(REGISTRY)}"
         )
@@ -249,8 +249,11 @@ def resolve_config(raw):
         if key in defaults and key not in ("tolerances", "params"):
             _check_value(value, defaults[key], key)
     fmt = merged.get("format", "csv")
-    if fmt not in TABLE_WRITERS:
+    if not isinstance(fmt, str) or fmt not in TABLE_WRITERS:
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")
+    out_dir = merged.get("output_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir: expected a directory path, got {out_dir!r}")
 
     return ExperimentConfig(
         experiment=name,
@@ -261,7 +264,7 @@ def resolve_config(raw):
         paths=merged.get("paths"),
         tolerances=merged["tolerances"],
         params=merged["params"],
-        output_dir=merged.get("output_dir"),
+        output_dir=out_dir,
         format=fmt,
     )
 

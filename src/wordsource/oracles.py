@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .sources import NEG_INF
+from .wordcode import check_alphabets
 
 MAX_ORACLE_TUPLES = 2**22
 
@@ -48,11 +49,9 @@ def brute_force_induced_log_table(model, word_function, n):
     output cell. Returns the table in lexicographic output order (natural
     log, -inf for cells no tuple reaches).
     """
+    check_alphabets(model, word_function)
     A = model.alphabet_size
     B = word_function.output_alphabet_size
-    if A != word_function.input_alphabet_size:
-        raise DomainError(f"model alphabet size {A} does not match codebook "
-                          f"input alphabet {word_function.input_alphabet_size}")
     if n < 1:
         raise DomainError("block length must be >= 1")
     if A**n > MAX_ORACLE_TUPLES:

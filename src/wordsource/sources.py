@@ -19,9 +19,10 @@ cylinder probabilities mu(T^-i [a^n]), exposes its ergodic components, and
 reports its exact entropy rate in bits per symbol. Shifted probabilities
 have no per-family code: mu is the induced law under the identity codebook,
 so they are the induced measure's exact chain computation, as are the
-source's block tables and sample-entropy traces. Their Cesaro averages (the
-finite-horizon AMS diagnostic) come from ``ergodic.ams_diagnostic``, for
-sources and induced measures alike.
+source's block tables and sample-entropy traces; a model keeps that chain,
+lists and arrays built from ``parts``, never an induced measure of itself.
+Their Cesaro averages (the finite-horizon AMS diagnostic) come from
+``ergodic.ams_diagnostic``, for sources and induced measures alike.
 
 A Markov path is walked as a ``BlockAutomaton``, k symbols per Python step;
 each row sends a whole interval between the rows' merged cumulative sums to
@@ -83,6 +84,14 @@ def as_symbols(symbols, alphabet_size):
         raise DomainError(
             f"symbol {int(bad)} outside alphabet of size {alphabet_size}"
         )
+    return arr
+
+
+def as_cylinder(symbols, alphabet_size):
+    """``as_symbols`` of a cylinder tuple, which must be nonempty."""
+    arr = as_symbols(symbols, alphabet_size)
+    if arr.size == 0:
+        raise DomainError("cylinder tuple must be nonempty")
     return arr
 
 
@@ -297,9 +306,18 @@ class SourceModel:
         """mu(T^-i [a^n]) for one shift i or a 1-D array of shifts.
 
         mu is the induced law under the identity codebook, so this is the
-        induced measure's exact chain computation.
+        induced measure's exact chain computation, run on the source's chain.
         """
-        return self._identity_measure.shifted_cylinder_probability(symbols, shift)
+        from .entropy import InducedMeasure  # entropy imports this module
+        return InducedMeasure.shifted_cylinder_probability(self, symbols, shift)
+
+    @cached_property
+    def _chain(self):
+        """This model's law under the identity codebook as a chain of lists and
+        arrays, built once; the source's scans, tables and shifts run on it."""
+        from .entropy import _Chain  # entropy imports this module
+        A = self.alphabet_size
+        return _Chain(self.parts, tuple((a,) for a in range(A)), A)
 
     # -- sampling ---------------------------------------------------------------
     def sample_path(self, length, seed):
@@ -323,18 +341,6 @@ class SourceModel:
         """Entropy rate in bits per symbol (mixtures: component-weighted average)."""
         raise NotImplementedError
 
-    @cached_property
-    def _identity_measure(self):
-        """This model under the identity codebook (induced law mu), built once."""
-        from .entropy import InducedMeasure  # entropy imports this module
-        from .wordcode import WordFunction
-
-        A = self.alphabet_size
-        return InducedMeasure(self, WordFunction(A, A, tuple((a,) for a in range(A))))
-
-    # scans and block tables of the source run on its identity-codebook measure's chain
-    _chain = property(lambda self: self._identity_measure._chain)
-
 
 class IIDSource(SourceModel):
     """Independent, identically distributed symbols."""
@@ -352,10 +358,7 @@ class IIDSource(SourceModel):
         return {"type": "iid", "dist": [float(p) for p in self.distribution]}
 
     def cylinder_log_probability(self, symbols):
-        arr = as_symbols(symbols, self.alphabet_size)
-        if arr.size == 0:
-            raise DomainError("cylinder tuple must be nonempty")
-        return float(self._log_dist[arr].sum())
+        return float(self._log_dist[as_cylinder(symbols, self.alphabet_size)].sum())
 
     def _sample(self, rng, length):
         return rng.choice(self.alphabet_size, size=length, p=self.distribution), None
@@ -406,9 +409,7 @@ class MarkovSource(SourceModel):
         }
 
     def cylinder_log_probability(self, symbols):
-        arr = as_symbols(symbols, self.alphabet_size)
-        if arr.size == 0:
-            raise DomainError("cylinder tuple must be nonempty")
+        arr = as_cylinder(symbols, self.alphabet_size)
         logp = self._log_init[arr[0]]
         if arr.size > 1:
             logp = logp + self._log_matrix[arr[:-1], arr[1:]].sum()

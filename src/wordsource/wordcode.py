@@ -223,17 +223,20 @@ def decode_prefix_free(wf, output_symbols):
     return np.array(decoded, dtype=np.int64), consumed
 
 
+def check_alphabets(model, wf):
+    """Raise DomainError unless ``wf`` reads the symbols ``model`` emits."""
+    if model.alphabet_size != wf.input_alphabet_size:
+        raise DomainError(f"model alphabet size {model.alphabet_size} does not match "
+                          f"codebook input alphabet {wf.input_alphabet_size}")
+
+
 def expected_codeword_length(model, wf):
     """Per-ergodic-component expected codeword length.
 
     Returns [(weight, E[l])] where the expectation is over the component's
     stationary first-symbol law.
     """
-    if model.alphabet_size != wf.input_alphabet_size:
-        raise DomainError(
-            f"model alphabet size {model.alphabet_size} does not match "
-            f"codebook input alphabet {wf.input_alphabet_size}"
-        )
+    check_alphabets(model, wf)
     lengths = wf.lengths().astype(float)
     out = []
     for weight, comp in model.ergodic_components():

@@ -91,11 +91,17 @@ def test_field_an_experiment_does_not_read_is_rejected(tmp_path, capsys, experim
     ("model", "iid", "model: model config must be a dict"),
     ("codebook", None, "codebook: codebook config must be a dict"),
     ("codebook", ["0", "10"], "codebook: codebook config must be a dict"),
+    # unhashable names and formats, and a directory that is not a path, are
+    # refused before the experiment runs
+    ("experiment", ["bellow"], "experiment: unknown name ['bellow']; valid names: "),
+    ("format", ["csv"], "format: expected 'csv' or 'jsonl', got ['csv']"),
+    ("format", {"a": 1}, "format: expected 'csv' or 'jsonl', got {'a': 1}"),
+    ("output_dir", 5, "output_dir: expected a directory path, got 5"),
 ])
 def test_null_or_mistyped_field_names_its_path(tmp_path, capsys, key, value, message):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"experiment": "aep-prefix-free", "seed": 0, key: value,
-                               "output_dir": str(tmp_path / "out")}))
+    cfg.write_text(json.dumps({"experiment": "aep-prefix-free", "seed": 0,
+                               "output_dir": str(tmp_path / "out"), key: value}))
     assert main(["run", "--config", str(cfg)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -563,6 +569,67 @@ def test_cli_resource_error_exit_code(tmp_path, capsys):
     }))
     assert main(["run", "--config", str(cfg)]) == 3
     assert "resource error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "entropy-trace"])
+def test_cli_allocation_refused_at_once_exits_as_resource_error(tmp_path, capsys, command):
+    # each request is beyond any address space, so it fails without touching memory
+    argv = {
+        # np.tile of bellow's first case's gaps: over 1e15 int64 entries
+        "run": ["run", "--config", str(CONFIG_DIR / "bellow.json"), "--horizon", str(10**16),
+                "--out", str(tmp_path / "out")],
+        # rng.random of 1e15 uniforms
+        "entropy-trace": ["entropy-trace", "--model", MODEL, "--horizon", str(10**15)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: Unable to allocate ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+class _Built(Exception):
+    """Raised by a stand-in for the indicator battery's table builder."""
+
+
+def _battery_config(output_alphabet, max_order):
+    code = ["0", "10"] if output_alphabet == 2 else ["0", "12"]
+    return {"experiment": "output-ergodicity", "params": {"max_order": max_order},
+            "codebook": {"input_alphabet": 2, "output_alphabet": output_alphabet, "code": code}}
+
+
+@pytest.mark.parametrize("output_alphabet, max_order, exit_code, message", [
+    # sum over k <= 10 of 2**k tables of 2**k cells
+    (2, 10, 3, "resource error: params.max_order: 10 needs 1398100 indicator table cells "
+               "over 2 symbols, over the cap of 1048576"),
+    (3, 7, 3, "resource error: params.max_order: 7 needs 5380839 indicator table cells "
+              "over 3 symbols"),
+    # about 2.5 TB of cells, which would grow until the process is killed
+    (3, 12, 3, "resource error: params.max_order: 12 needs 317733228540 "),
+    (2, 13, 2, "input error: order must be in 1..12"),
+])
+def test_output_ergodicity_battery_over_the_cell_cap_builds_no_table(
+        tmp_path, capsys, monkeypatch, output_alphabet, max_order, exit_code, message):
+    def build(alphabet_size, order):
+        raise _Built
+
+    monkeypatch.setattr(experiments, "_indicator_battery", build)
+    cfg = tmp_path / "battery.json"
+    cfg.write_text(json.dumps(_battery_config(output_alphabet, max_order)))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == exit_code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output_alphabet, max_order", [(2, 9), (3, 6)])
+def test_output_ergodicity_battery_at_the_cell_cap_is_built(
+        monkeypatch, output_alphabet, max_order):
+    def build(alphabet_size, order):
+        raise _Built
+
+    monkeypatch.setattr(experiments, "_indicator_battery", build)
+    with pytest.raises(_Built):
+        experiments.run_output_ergodicity(resolve_config(_battery_config(output_alphabet,
+                                                                         max_order)))
 
 
 def test_cli_vls_orbit(capsys):

@@ -1,8 +1,10 @@
 """Source models: exact probabilities, sampling, stationarity diagnostics."""
 
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,13 +14,17 @@ from wordsource import (
     ConfigError,
     DomainError,
     IIDSource,
+    InducedMeasure,
     MarkovSource,
     MixtureSource,
     RangeError,
     ResourceError,
     UnsupportedModelError,
+    WordFunction,
     ams_diagnostic,
+    block_log_probability_tables,
     model_from_config,
+    sample_entropy_trace,
     stationary_distribution,
 )
 
@@ -171,14 +177,17 @@ def _reference_sample(model, rng, length):
     return out
 
 
+def _random_law(rng, K):
+    """A law on K symbols with zero entries, the last one too."""
+    p = rng.uniform(0.0, 1.0, K) * (rng.uniform(size=K) > 0.35)
+    if not p.any():
+        p[rng.integers(K)] = 1.0
+    return p / p.sum()
+
+
 def _random_chain(rng, K):
     """A K-state chain whose rows and initial law have zero entries, last ones too."""
-    def law():
-        p = rng.uniform(0.0, 1.0, K) * (rng.uniform(size=K) > 0.35)
-        if not p.any():
-            p[rng.integers(K)] = 1.0
-        return p / p.sum()
-    return MarkovSource([law() for _ in range(K)], law())
+    return MarkovSource([_random_law(rng, K) for _ in range(K)], _random_law(rng, K))
 
 
 def _path_lengths(model):
@@ -273,6 +282,72 @@ def test_source_chain_built_once():
     chain = model._chain
     model.shifted_cylinder_probability([0], 3)
     assert model._chain is chain
+
+
+def _answer_everything(model):
+    """Build every cache a source keeps: its chain, its dense matrix, its
+    forward nodes and its sampler."""
+    model.shifted_cylinder_probability([0, 1], np.arange(30))
+    ams_diagnostic(model, [[0], [1, 0]], 100)
+    block_log_probability_tables(model, 4)
+    sample_entropy_trace(model, model.sample_path(200, 7).symbols, [10, 100, 200])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0]),
+    lambda: MixtureSource([0.5, 0.5], [IIDSource([0.5, 0.5]),
+                                       MarkovSource([[0.9, 0.1], [0.5, 0.5]], [1, 0])]),
+], ids=["markov", "mixture"])
+def test_source_is_freed_without_the_cycle_collector(make):
+    # a source keeps its chain, which never points back at it, so reference
+    # counting alone frees the source with everything it has cached
+    gc.disable()
+    try:
+        model = make()
+        _answer_everything(model)
+        assert model._chain.nodes[0]  # the scans have stored forward nodes
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _random_source(rng, kind, K):
+    """An IID, Markov or mixture source whose laws have zero entries; a
+    mixture's weights may be zero too, and its Markov components are positive."""
+    if kind == "iid":
+        return IIDSource(_random_law(rng, K))
+    if kind == "markov":
+        return _random_chain(rng, K)
+    parts = [IIDSource(_random_law(rng, K)),
+             MarkovSource(rng.dirichlet(np.ones(K), K), _random_law(rng, K))]
+    return MixtureSource(_random_law(rng, len(parts)), parts)
+
+
+def test_source_answers_are_its_identity_measure_bit_for_bit():
+    # a source's shifted probabilities, block tables and sample-entropy trace
+    # run on its own chain; each is the identity-codebook induced measure's
+    rng = np.random.default_rng(25)
+    for trial in range(99):
+        kind = ("iid", "markov", "mixture")[trial % 3]
+        model = _random_source(rng, kind, int(rng.integers(2, 5)))
+        A = model.alphabet_size
+        identity = InducedMeasure(model, WordFunction(A, A, tuple((a,) for a in range(A))))
+        for _ in range(2):
+            cylinder = rng.integers(0, A, int(rng.integers(1, 4)))
+            got = model.shifted_cylinder_probability(cylinder, np.arange(50))
+            want = identity.shifted_cylinder_probability(cylinder, np.arange(50))
+            assert got.tobytes() == want.tobytes(), (trial, kind)
+        for got, want in zip(block_log_probability_tables(model, 5),
+                             block_log_probability_tables(identity, 5)):
+            assert got.tobytes() == want.tobytes(), (trial, kind)
+        # a path of the source, and a uniform one that may leave its support
+        for path in (model.sample_path(300, trial).symbols, rng.integers(0, A, 300)):
+            got = sample_entropy_trace(model, path, [1, 7, 50, 300])
+            want = sample_entropy_trace(identity, path, [1, 7, 50, 300])
+            assert got.values.tobytes() == want.values.tobytes(), (trial, kind)
+            assert got.left_support_at == want.left_support_at
 
 
 # -- shifted probabilities and Cesaro averages --------------------------------

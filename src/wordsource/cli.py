@@ -5,9 +5,10 @@ thin wrappers over the library. ``run`` executes a named, config-driven
 experiment and writes CSV/JSON results.
 
 Exit codes: 0 pass, 1 experiment verdict failure, 2 config or input error,
-3 resource-cap breach or an allocation the machine refuses (MemoryError),
-4 internal error (a fault in the package itself), 141 stdout closed early by
-its reader (128 + SIGPIPE, as a shell reports it).
+or a result path that cannot be written, 3 resource-cap breach or an
+allocation the machine refuses (MemoryError), 4 internal error (a fault in
+the package itself), 141 stdout closed early by its reader (128 + SIGPIPE,
+as a shell reports it).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .errors import (
     ResourceError,
     UnsupportedModelError,
 )
-from .harness import TABLE_WRITERS, read_json, resolve_config, run_experiment, validate_config
+from .harness import (TABLE_WRITERS, read_json, resolve_config, run_experiment, validate_config,
+                      writing_results)
 from .shifts import (
     TimeSubsequence,
     VariableLengthShiftSpec,
@@ -79,7 +81,8 @@ def _symbols_arg(text):
 
 
 def _emit_table(path, columns, rows, fmt):
-    TABLE_WRITERS[fmt or "csv"](path, columns, rows)
+    with writing_results(path):
+        TABLE_WRITERS[fmt or "csv"](path, columns, rows)
     print(f"wrote {path}")
 
 

@@ -38,13 +38,13 @@ increments in the same order, and are combined into log q only where it is
 read: at a scan's checkpoints by ``sources.log_mixture``, and in the tables a
 chunk of cells at a time, with numpy's adds, max and component-order sums
 and ``math``'s exp and log, which is ``log_mixture`` per cell, bit for bit.
-A source model's own law mu is the identity-codebook case, so its
-scans and tables run on this kernel too. Shifted cylinder probabilities
-q(T^-i [b]) = (start T^i) . r_b, for sources too, step the same chain's dense
-transition matrix. A chain is built once per measure, on first use, from a
-law's ``parts`` and the codewords alone, as one state layout over (component,
-a, k) that both the forward steps and the dense matrix are read from; a source
-model keeps its identity-codebook chain, never a measure of itself.
+A source model's own law mu is the identity-codebook case, so its scans and
+tables run on this kernel too. Shifted cylinder probabilities q(T^-i [b]) =
+(start T^i) . r_b, for sources too, step the same chain's dense transition
+matrix. A chain is built once per measure, on first use, from a law's ``parts``
+and the codewords alone, as one state layout over (component, a, k) that the
+dense matrix and the forward steps' rows and targets, with the fresh start as
+row B, are read from; a source model keeps its chain, not a measure of itself.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ import numpy as np
 from .ergodic import _trailing_spread
 from .errors import DomainError, RangeError, ResourceError
 from .sources import (
+    DEFAULT_ENUMERATION_CELLS,
     LN2,
     LOG_PROB_SLACK,
     NEG_INF,
@@ -73,8 +74,6 @@ from .sources import (
 from .wordcode import (WordFunction, check_alphabets, encode_stream, expected_codeword_length,
                        is_prefix_free)
 
-# Full block enumerations refuse to build more than this many cylinders.
-DEFAULT_ENUMERATION_CELLS = 2**20
 # A shifted cylinder probability steps the dense chain at most this many times.
 DEFAULT_MAX_SHIFT_STEPS = 10**7
 # A measure interns at most this many forward nodes; later ones are not stored.
@@ -90,9 +89,10 @@ class _Chain:
     The states are (c, a, k) for every component c of positive weight, in
     component, input-symbol, then offset order, numbered from 0; state s
     emits ``emits[s]``, and ``moves[s]`` lists the (state, probability)
-    pairs one step reaches. Component c owns the states ``spans[c]``;
-    ``starts[c]`` holds its weight and the moves of its fresh start, and
-    ``log_weights[c]`` its log weight.
+    pairs one step reaches. ``rows[c][b]`` lists the moves of component c's
+    states that emit b, in state order, and ``targets[c][b]`` numbers those
+    states; the fresh start is row B, ``rows[c][B]``, one move list of the
+    initial law. c weighs ``weights[c]``, with log ``log_weights[c]``.
 
     A forward node is (key, next): key is (previous symbol, normalised vector
     as a tuple), the vector held over the component's states that emit the
@@ -103,31 +103,33 @@ class _Chain:
     """
 
     def __init__(self, parts, codewords, B):
-        emits, moves, self.spans, self.starts, log_weights = [], [], [], [], []
-        self.emits, self.moves = emits, moves
-        for weight, log_weight, first, rows in parts:
+        emits, moves = self.emits, self.moves = [], []
+        self.weights, self.log_weights, self.rows, self.targets = [], [], [], []
+        for weight, log_weight, first, transition in parts:
             if not weight > 0.0:
                 continue
-            first, rows = first.tolist(), rows.tolist()
+            first, transition = first.tolist(), transition.tolist()
             low = len(emits)
             heads = [low + sum(map(len, codewords[:a])) for a in range(len(codewords))]
             for a, cw in enumerate(codewords):
                 emits += cw
                 moves += [[(heads[a] + k, 1.0)] for k in range(1, len(cw))]
-                moves.append([(heads[t], p) for t, p in enumerate(rows[a]) if p > 0.0])
-            self.spans.append(range(low, len(emits)))
-            self.starts.append((weight, [(heads[t], p) for t, p in enumerate(first) if p > 0.0]))
-            log_weights.append(log_weight)
-        self.log_weights = tuple(log_weights)
-        self.roots = [((B, (1.0,)), [None] * B) for _ in self.spans]
-        self.nodes = [{} for _ in self.spans]
+                moves.append([(heads[t], p) for t, p in enumerate(transition[a]) if p > 0.0])
+            by_symbol = [[s for s in range(low, len(emits)) if emits[s] == b] for b in range(B)]
+            fresh = [(heads[t], p) for t, p in enumerate(first) if p > 0.0]
+            self.rows.append([[moves[s] for s in states] for states in by_symbol] + [[fresh]])
+            self.targets.append([{t: i for i, t in enumerate(states)} for states in by_symbol])
+            self.weights.append(weight)
+            self.log_weights.append(log_weight)
+        self.roots = [((B, (1.0,)), [None] * B) for _ in self.rows]
+        self.nodes = [{} for _ in self.rows]
 
     def step(self, c, node, symbol):
         """Component c's forward step from ``node`` on ``symbol``, stored in
         the node unless the successor is new and the interning cap is full.
 
-        Its sources are the component's states that emit the previous symbol
-        (after B, the fresh start) and its targets those that emit ``symbol``.
+        Its sources are ``rows[c][prev]`` (row B after the fresh start, so a
+        root steps like any node) and its targets ``targets[c][symbol]``.
         The float work is fixed: each target sums its terms in source order,
         kept sums the targets in state order, each source adds to leak its
         mass that moves to states emitting another symbol; then the log
@@ -135,12 +137,7 @@ class _Chain:
         successors.
         """
         (prev, v), nexts = node
-        span, emits, moves = self.spans[c], self.emits, self.moves
-        if prev == len(nexts):  # B: the fresh start
-            sources = [self.starts[c][1]]
-        else:
-            sources = [moves[s] for s in span if emits[s] == prev]
-        targets = {t: i for i, t in enumerate([s for s in span if emits[s] == symbol])}
+        sources, targets = self.rows[c][prev], self.targets[c][symbol]
         new = [0.0] * len(targets)
         leak = 0.0
         for x, reach in zip(v, sources):
@@ -175,15 +172,15 @@ class _Chain:
         """(T, T transposed, start, emitted symbols) as arrays over all states.
 
         A mixture's T is block-diagonal, and the start vector holds each
-        component's fresh start times its weight.
+        component's fresh start, its row B, times its weight.
         """
         matrix = np.zeros((len(self.emits), len(self.emits)))
         for s, reach in enumerate(self.moves):
             for t, p in reach:
                 matrix[s, t] = p
         start = np.zeros(len(self.emits))
-        for weight, fresh in self.starts:
-            for t, p in fresh:
+        for weight, rows in zip(self.weights, self.rows):
+            for t, p in rows[-1][0]:
                 start[t] = weight * p
         return matrix, np.ascontiguousarray(matrix.T), start, np.array(self.emits)
 
@@ -505,13 +502,15 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
         raise DomainError("horizon must be >= 10")
     if paths < 1:
         raise DomainError("need at least one path")
+    if paths > DEFAULT_ENUMERATION_CELLS:
+        raise ResourceError(f"paths: {paths} is over the cap of {DEFAULT_ENUMERATION_CELLS}")
     bounds = component_bounds(model, word_function)
     prefix_free = bool(is_prefix_free(word_function))
     induced = InducedMeasure(model, word_function)
-    children = seed_sequence(seed).spawn(paths)
+    root = seed_sequence(seed)
     reports = [None] * paths
     for idx in range(paths):
-        ps = model.sample_path(horizon, children[idx])
+        ps = model.sample_path(horizon, root.spawn(1)[0])
         comp_idx = ps.component_index if ps.component_index is not None else 0
         enc = encode_stream(word_function, ps.symbols)
         zeta_n = enc.total_length

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, ResourceError
 from .shifts import _window_codes
-from .sources import as_symbols, seed_sequence
+from .sources import DEFAULT_ENUMERATION_CELLS, as_symbols, seed_sequence
 
 MAX_CYLINDER_ORDER = 12
 
@@ -169,11 +169,13 @@ def ergodicity_spread(measure, g, paths, horizon, seed):
     """
     if paths < 2:
         raise DomainError("need at least two paths")
-    children = seed_sequence(seed).spawn(paths)
+    if paths > DEFAULT_ENUMERATION_CELLS:
+        raise ResourceError(f"paths: {paths} is over the cap of {DEFAULT_ENUMERATION_CELLS}")
+    root = seed_sequence(seed)
     finals = np.empty(paths)
     need = horizon + g.order - 1
     for idx in range(paths):
-        ps = measure.sample_path(need, children[idx])
+        ps = measure.sample_path(need, root.spawn(1)[0])
         vals = g.values_along(ps.symbols)
         finals[idx] = vals[:horizon].mean()
     return SpreadResult(spread=float(finals.std()), finals=finals)

@@ -376,6 +376,10 @@ def run_output_ergodicity(cfg):
     if cells > DEFAULT_ENUMERATION_CELLS:
         raise ResourceError(f"params.max_order: {max_order} needs {cells} indicator table cells "
                             f"over {A} symbols, over the cap of {DEFAULT_ENUMERATION_CELLS}")
+    for key in ("battery_paths", "spread_paths", "control_paths"):
+        if p[key] > DEFAULT_ENUMERATION_CELLS:
+            raise ResourceError(f"params.{key}: {p[key]} paths, over the cap of "
+                                f"{DEFAULT_ENUMERATION_CELLS}")
     battery_in = _indicator_battery(wf.input_alphabet_size, max_order)
     battery_out = _indicator_battery(wf.output_alphabet_size, max_order)
     cps = default_checkpoints(horizon)
@@ -384,9 +388,9 @@ def run_output_ergodicity(cfg):
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(len(named_models) + 1)
     for (name, model), child in zip(named_models, children):
-        for path_idx, path_seed in enumerate(child.spawn(int(p["battery_paths"]))):
+        for path_idx in range(int(p["battery_paths"])):
             need = horizon + max_order
-            ps = model.sample_path(need, path_seed)
+            ps = model.sample_path(need, child.spawn(1)[0])
             enc = encode_stream(wf, ps.symbols)
             source_conv = all(
                 time_average(ps.symbols, g, cps, tol=conv_tol).converged

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,7 +253,7 @@ def resolve_config(raw):
     if not isinstance(fmt, str) or fmt not in TABLE_WRITERS:
         raise ConfigError(f"format: expected 'csv' or 'jsonl', got {fmt!r}")
     out_dir = merged.get("output_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
+    if out_dir is not None and not (isinstance(out_dir, str) and out_dir):
         raise ConfigError(f"output_dir: expected a directory path, got {out_dir!r}")
 
     return ExperimentConfig(
@@ -316,6 +317,18 @@ def write_table_jsonl(path, columns, rows):
 TABLE_WRITERS = {"csv": write_table_csv, "jsonl": write_table_jsonl}
 
 
+@contextmanager
+def writing_results(path):
+    """Report an OSError while writing results to ``path`` as a ConfigError
+    naming it; a reader closing stdout early stays a BrokenPipeError."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write results to {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """What a run produced; wall time never reaches the result files."""
@@ -332,7 +345,9 @@ def run_experiment(config):
     """Dispatch to the named experiment and write its result files.
 
     Returns a RunManifest. The exit-status policy (verdict failure, config
-    error, resource error) is applied by the CLI wrapper, not here.
+    error, resource error) is applied by the CLI wrapper, not here. An output
+    directory under a file is refused before the experiment runs; a write
+    that fails raises a ConfigError naming the path.
     """
     fn = REGISTRY[config.experiment]
     out_dir = Path(
@@ -340,11 +355,14 @@ def run_experiment(config):
         or os.environ.get(OUTPUT_DIR_ENV)
         or "results"
     )
+    with writing_results(out_dir):
+        # the check creates nothing, so a run that raises leaves no directory
+        nearest = next((d for d in (out_dir, *out_dir.parents) if d.exists()), out_dir)
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"{nearest} is not a directory")
     start = time.perf_counter()
     result = fn(config)
     elapsed = time.perf_counter() - start
-    # made only now, so a run that raises leaves no directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     summary_doc = {
         "experiment": result.name,
@@ -354,14 +372,17 @@ def run_experiment(config):
         "artifact_version": __version__,
     }
     summary_path = out_dir / f"{result.name}.summary.json"
-    summary_path.write_text(
-        json.dumps(summary_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    files.append(str(summary_path))
-    for table_name, (columns, rows) in result.tables.items():
-        table_path = out_dir / f"{result.name}.{table_name}.{config.format}"
-        TABLE_WRITERS[config.format](table_path, columns, rows)
-        files.append(str(table_path))
+    with writing_results(out_dir):
+        # made only now, so a run that raises leaves no directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary_path.write_text(
+            json.dumps(summary_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+        files.append(str(summary_path))
+        for table_name, (columns, rows) in result.tables.items():
+            table_path = out_dir / f"{result.name}.{table_name}.{config.format}"
+            TABLE_WRITERS[config.format](table_path, columns, rows)
+            files.append(str(table_path))
     return RunManifest(
         experiment=result.name,
         config_hash=config.config_hash,

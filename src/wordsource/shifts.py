@@ -31,12 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
-from .sources import BlockAutomaton, as_symbols
+from .sources import DEFAULT_ENUMERATION_CELLS, BlockAutomaton, as_symbols
 
 # gamma tables are extensional over alphabet**lookahead windows; cap both the
 # lookahead and the table size so construction stays desk-scale.
 MAX_LOOKAHEAD = 16
-MAX_TABLE_SIZE = 2**20
 
 
 def _window_codes(symbols, alphabet_size, order):
@@ -78,9 +77,9 @@ class VariableLengthShiftSpec:
         if self.alphabet_size < 2:
             raise DomainError("alphabet size must be >= 2")
         expected = self.alphabet_size**self.lookahead
-        if expected > MAX_TABLE_SIZE:
+        if expected > DEFAULT_ENUMERATION_CELLS:
             raise ResourceError(
-                f"gamma table would need {expected} entries (cap {MAX_TABLE_SIZE})"
+                f"gamma table would need {expected} entries (cap {DEFAULT_ENUMERATION_CELLS})"
             )
         table = np.asarray(self.table, dtype=np.int64)
         if table.shape != (expected,):
@@ -104,7 +103,7 @@ class VariableLengthShiftSpec:
         if lookahead > MAX_LOOKAHEAD:
             raise DomainError(f"lookahead must be <= {MAX_LOOKAHEAD}")
         count = alphabet_size**lookahead
-        if count > MAX_TABLE_SIZE:
+        if count > DEFAULT_ENUMERATION_CELLS:
             raise ResourceError(f"gamma table would need {count} entries")
         table = np.empty(count, dtype=np.int64)
         # product yields the windows in base-|A| code order
@@ -155,7 +154,7 @@ class VariableLengthShiftSpec:
 
 
 # codeword-driven specs for encoded_shift_commutes, built once per word
-# function; bounded, since one table may hold MAX_TABLE_SIZE entries
+# function; bounded, since one table may hold DEFAULT_ENUMERATION_CELLS entries
 _codebook_spec = functools.lru_cache(maxsize=16)(VariableLengthShiftSpec.from_codebook)
 
 

@@ -60,15 +60,18 @@ LN2 = math.log(2.0)
 # Sum tolerance accepted for probability vectors before renormalisation.
 PROB_SUM_TOL = 1e-9
 
+# Every table whose size an input sets holds at most this many cells: block
+# tables, automata, gamma tables, indicator batteries, and the paths of a run.
+DEFAULT_ENUMERATION_CELLS = 2**20
+
 # Inputs per chunk of a BlockAutomaton walk, which bounds its per-chunk arrays.
 SAMPLE_CHUNK = 4096
 
 # A BlockAutomaton of K states and M input classes reads k inputs per Python
 # step, the largest k with max(M, 2)**k <= BLOCK_CODES block codes and
-# K * M**k * k <= MAX_AUTOMATON_ENTRIES tabulated states; K * M above the cap
-# is refused.
+# K * M**k * k <= DEFAULT_ENUMERATION_CELLS tabulated states; K * M above the
+# cap is refused.
 BLOCK_CODES = 1024
-MAX_AUTOMATON_ENTRIES = 2**20
 
 
 def as_symbols(symbols, alphabet_size):
@@ -214,12 +217,12 @@ class BlockAutomaton:
     """
 
     def __init__(self, K, M, row):
-        if K * M > MAX_AUTOMATON_ENTRIES:
+        if K * M > DEFAULT_ENUMERATION_CELLS:
             raise ResourceError(f"an automaton of {K} states and {M} input classes needs "
-                                f"{K * M} table entries (cap {MAX_AUTOMATON_ENTRIES})")
+                                f"{K * M} table entries (cap {DEFAULT_ENUMERATION_CELLS})")
         k = 1
         while (max(M, 2) ** (k + 1) <= BLOCK_CODES
-               and K * M ** (k + 1) * (k + 1) <= MAX_AUTOMATON_ENTRIES):
+               and K * M ** (k + 1) * (k + 1) <= DEFAULT_ENUMERATION_CELLS):
             k += 1
         step = np.empty((K, M), np.intp)
         for s in range(K):

@@ -12,16 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordsource import ConfigError, TimeSubsequence, experiments
+from wordsource import ConfigError, TimeSubsequence, entropy, ergodic, experiments, harness
 from wordsource.cli import main
-from wordsource.entropy import conservation_report
+from wordsource.entropy import DEFAULT_ENUMERATION_CELLS, conservation_report
 from wordsource.harness import (
     EXPERIMENT_DEFAULTS,
     resolve_config,
     run_experiment,
     validate_config,
 )
-from wordsource.sources import model_from_config
+from wordsource.sources import SourceModel, model_from_config
 from wordsource.wordcode import word_function_from_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -97,6 +97,8 @@ def test_field_an_experiment_does_not_read_is_rejected(tmp_path, capsys, experim
     ("format", ["csv"], "format: expected 'csv' or 'jsonl', got ['csv']"),
     ("format", {"a": 1}, "format: expected 'csv' or 'jsonl', got {'a': 1}"),
     ("output_dir", 5, "output_dir: expected a directory path, got 5"),
+    # an empty directory once fell back to $WORDSOURCE_OUT or ./results
+    ("output_dir", "", "output_dir: expected a directory path, got ''"),
 ])
 def test_null_or_mistyped_field_names_its_path(tmp_path, capsys, key, value, message):
     cfg = tmp_path / "bad.json"
@@ -630,6 +632,116 @@ def test_output_ergodicity_battery_at_the_cell_cap_is_built(
     with pytest.raises(_Built):
         experiments.run_output_ergodicity(resolve_config(_battery_config(output_alphabet,
                                                                          max_order)))
+
+
+class _Drawn(Exception):
+    """Raised by a stand-in for the sampler or for the seed of a path."""
+
+
+def _refuse_to_draw(monkeypatch):
+    def draw(*args, **kwargs):
+        raise _Drawn
+
+    monkeypatch.setattr(SourceModel, "sample_path", draw)
+    monkeypatch.setattr(entropy, "seed_sequence", draw)
+    monkeypatch.setattr(ergodic, "seed_sequence", draw)
+    monkeypatch.setattr(experiments, "_indicator_battery", draw)
+
+
+OVER = DEFAULT_ENUMERATION_CELLS + 1
+
+
+@pytest.mark.parametrize("command", [["aep"], ["ergodic-check", "--model", MODEL]],
+                         ids=["aep", "ergodic-check"])
+@pytest.mark.parametrize("paths", [OVER, 10**9])
+def test_path_count_over_the_cell_cap_spawns_and_samples_nothing(
+        tmp_path, capsys, monkeypatch, command, paths):
+    # a billion paths once spawned a billion seeds up front and grew until killed
+    _refuse_to_draw(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--paths", str(paths)]) == 3
+    assert f"resource error: paths: {paths} is over the cap of 1048576" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("key", ["battery_paths", "spread_paths", "control_paths"])
+def test_output_ergodicity_path_count_over_the_cell_cap_spawns_and_samples_nothing(
+        tmp_path, capsys, monkeypatch, key):
+    _refuse_to_draw(monkeypatch)
+    cfg = tmp_path / "paths.json"
+    cfg.write_text(json.dumps({"experiment": "output-ergodicity", "params": {key: OVER}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert (f"resource error: params.{key}: {OVER} paths, over the cap of 1048576"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_path_count_at_the_cell_cap_is_drawn(monkeypatch):
+    _refuse_to_draw(monkeypatch)
+    fair = model_from_config({"type": "iid", "dist": [0.5, 0.5]})
+    wf = word_function_from_config({"input_alphabet": 2, "output_alphabet": 2,
+                                    "code": ["0", "10"]})
+    with pytest.raises(_Drawn):
+        entropy.aep_experiment(fair, wf, 100, DEFAULT_ENUMERATION_CELLS, seed=0)
+    with pytest.raises(_Drawn):
+        ergodic.ergodicity_spread(fair, ergodic.CylinderFunction.indicator(2, [0]),
+                                  DEFAULT_ENUMERATION_CELLS, 100, seed=0)
+
+
+def test_seed_spawned_per_path_is_the_seed_spawned_for_all_paths():
+    # spawning one child per path draws the children that spawning them all at
+    # once did, so every seeded path keeps its bits
+    fair = model_from_config({"type": "iid", "dist": [0.5, 0.5]})
+    g = ergodic.CylinderFunction.indicator(2, [0])
+    finals = [fair.sample_path(50, child).symbols[:50].tolist().count(0) / 50
+              for child in np.random.SeedSequence(11).spawn(6)]
+    assert ergodic.ergodicity_spread(fair, g, 6, 50, seed=11).finals.tolist() == finals
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_run_into_a_file_exits_2_before_the_experiment_runs(tmp_path, capsys, monkeypatch,
+                                                              where):
+    def experiment(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(harness.REGISTRY, "bellow", experiment)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile if where == "file" else afile / "sub"
+    cfg = tmp_path / "bellow.json"
+    cfg.write_text(json.dumps({"experiment": "bellow", "horizon": 200,
+                               "params": {"cases": 2}, "output_dir": str(out)}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write results to {out}: {afile} is not a directory" in err
+    assert "Traceback" not in err and afile.read_text() == "kept\n"
+
+
+def test_result_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "bellow.summary.json").mkdir(parents=True)
+    cfg = tmp_path / "bellow.json"
+    cfg.write_text(json.dumps({"experiment": "bellow", "horizon": 200,
+                               "params": {"cases": 2}, "output_dir": str(out)}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write results to {out}: " in err and "Is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_table_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "x.csv"
+    assert main(["entropy-trace", "--model", MODEL, "--horizon", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write results to {out}: " in err and "Not a directory" in err
+    assert "Traceback" not in err
+
+
+def test_closed_pipe_while_writing_results_stays_a_broken_pipe():
+    with pytest.raises(BrokenPipeError):
+        with harness.writing_results("out"):
+            raise BrokenPipeError
 
 
 def test_cli_vls_orbit(capsys):

@@ -44,7 +44,7 @@ from .shifts import (
     variable_length_orbit,
     weight_sequence,
 )
-from .sources import LN2, MixtureSource, model_from_config
+from .sources import LN2, model_from_config
 from .wordcode import (
     decode_prefix_free,
     encode_stream,
@@ -180,14 +180,10 @@ def cmd_aep(args):
     overrides = _overrides(args, "seed", "horizon", "paths", "format", "model", "codebook")
     # validated first, so a bad --model or --codebook is named by its JSON path
     config = resolve_config({"experiment": "aep-prefix-free", **overrides})
-    model = model_from_config(config.model)
-    wf = word_function_from_config(config.codebook)
-    if isinstance(model, MixtureSource) and is_prefix_free(wf):
-        name = "aep-mixture"
-    elif is_prefix_free(wf):
-        name = "aep-prefix-free"
-    else:
+    if not is_prefix_free(word_function_from_config(config.codebook)):
         name = "aep-non-prefix-free"
+    else:
+        name = "aep-mixture" if config.model["type"] == "mixture" else "aep-prefix-free"
     return _run(resolve_config({"experiment": name, **overrides}))
 
 
@@ -384,6 +380,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out and args.fn in (cmd_entropy_trace, cmd_ams_check, cmd_vls_orbit, cmd_bellow):
+            with writing_results(out):  # a table is refused before any work, as its write would be
+                os.scandir(os.path.dirname(out) or ".").close()
+                if os.path.isdir(out):
+                    raise IsADirectoryError(f"{out} is a directory")
         code = args.fn(args)
         sys.stdout.flush()  # inside the try, so a reader gone at the last write is caught
     except BrokenPipeError:

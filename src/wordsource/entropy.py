@@ -437,7 +437,7 @@ def sample_entropy_trace(measure, symbols, checkpoints, tol=1e-2):
         horizons=np.array(cps[:len(lps)], dtype=np.int64),
         values=values,
         limit_estimate=float(values[-1]) if lps else float("nan"),
-        converged=left_at is None and bool(lps) and _trailing_spread(values) < tol,
+        converged=left_at is None and _trailing_spread(values) < tol,
         tolerance=tol,
         left_support_at=left_at,
     )

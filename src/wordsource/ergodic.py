@@ -37,11 +37,7 @@ def check_order(order):
 
 
 def _trailing_spread(values):
-    """Max minus min over the last quartile (at least two points) of a trace."""
-    if len(values) == 0:
-        return float("inf")
-    if len(values) == 1:
-        return 0.0
+    """Max minus min over the last quartile (at least two points) of a nonempty trace."""
     tail = values[-max(2, -(-len(values) // 4)):]
     return float(max(tail) - min(tail))
 

@@ -100,12 +100,7 @@ def random_prefix_free_codebook(rng, input_size, output_size, max_len):
         length = int(lengths[sym])
         if prev_len is not None:
             code = (code + 1) * output_size ** (length - prev_len)
-        digits = []
-        c = code
-        for _ in range(length):
-            digits.append(c % output_size)
-            c //= output_size
-        codewords[int(sym)] = tuple(reversed(digits))
+        codewords[int(sym)] = tuple(map(int, np.unravel_index(code, (output_size,) * length)))
         prev_len = length
     return WordFunction(input_size, output_size, tuple(codewords))
 
@@ -292,11 +287,7 @@ def run_conservation(cfg):
         "block_cap": cap,
         "tolerance": tol,
         "prefix_free": report.prefix_free,
-        "per_component": [
-            {"weight": cb.weight, "entropy_rate": cb.entropy_rate,
-             "expected_length": cb.expected_length, "bound": cb.bound}
-            for cb in report.per_component
-        ],
+        "per_component": [cb._asdict() for cb in report.per_component],
     }
     return ExperimentResult("conservation", passed, summary,
                             {"block_entropy": (["n", "H_n", "H_n_minus_H_prev"], rows)})
@@ -310,15 +301,20 @@ def run_ams_markov(cfg):
     p = cfg.params
     periodic = model_from_config(p["periodic_model"])
     aperiodic = model_from_config(p["aperiodic_model"])
+    if not (isinstance(periodic, MarkovSource) and np.isin(periodic.matrix, (0, 1)).all()
+            and periodic.is_irreducible() and periodic.period() > 1):
+        raise UnsupportedModelError("params.periodic_model: needs a periodic irreducible 0/1 chain")
     horizon = cfg.horizon
     cyl = [0]
     step_count = int(p["per_step_count"])
     per_step = periodic.shifted_cylinder_probability(cyl, np.arange(step_count)).tolist()
-    expected_alternation = [1.0 if i % 2 == 0 else 0.0 for i in range(step_count)]
-    alternates = per_step == expected_alternation
+    # a 0/1 chain's powers are 0/1 matrices, so these products are exact
+    alternates = per_step == [(periodic.initial @ np.linalg.matrix_power(periodic.matrix, i))[0]
+                              for i in range(step_count)]
     periodic_trace = ams_diagnostic(periodic, [cyl], horizon)[0]
     cps, cesaro_periodic = periodic_trace.checkpoints, periodic_trace.partial_averages
-    periodic_ok = bool(np.all(np.abs(cesaro_periodic - 0.5) <= 1.0 / cps))
+    periodic_target = stationary_distribution(periodic.matrix)[0]  # the Cesaro limit of [0]
+    periodic_ok = bool(np.all(np.abs(cesaro_periodic - periodic_target) <= 1.0 / cps))
     if not isinstance(aperiodic, MarkovSource) or aperiodic.period() != 1:  # raises if reducible
         raise UnsupportedModelError("params.aperiodic_model: needs an irreducible aperiodic chain")
     aper_target = float(stationary_distribution(aperiodic.matrix)[0])  # Cesaro limit of [0]

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -164,19 +164,9 @@ class ExperimentConfig:
 
     def to_dict(self):
         # output_dir is deliberately left out: results must not depend on
-        # where they are written
-        out = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "params": self.params,
-            "format": self.format,
-        }
-        for key in ("model", "codebook", "horizon", "paths"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        # where they are written; so is every optional field left unset
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "output_dir" and getattr(self, f.name) is not None}
 
     @property
     def config_hash(self):

@@ -141,10 +141,7 @@ class VariableLengthShiftSpec:
             raise RangeError(
                 f"window needs {self.lookahead} symbols, got {arr.size}"
             )
-        code = 0
-        for s in arr[: self.lookahead].tolist():
-            code = code * self.alphabet_size + s
-        return int(self.table[code])
+        return int(self.shift_values(arr[: self.lookahead])[0])
 
     def shift_values(self, symbols):
         """gamma at every position of ``symbols`` that has a full window."""

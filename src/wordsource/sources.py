@@ -413,10 +413,7 @@ class MarkovSource(SourceModel):
 
     def cylinder_log_probability(self, symbols):
         arr = as_cylinder(symbols, self.alphabet_size)
-        logp = self._log_init[arr[0]]
-        if arr.size > 1:
-            logp = logp + self._log_matrix[arr[:-1], arr[1:]].sum()
-        return float(logp)
+        return float(self._log_init[arr[0]] + self._log_matrix[arr[:-1], arr[1:]].sum())
 
     @cached_property
     def _automaton(self):
@@ -507,8 +504,6 @@ class MixtureSource(SourceModel):
         components = list(components)
         if len(components) != self.weights.size:
             raise ConfigError("number of weights must match number of components")
-        if not components:
-            raise ConfigError("mixture needs at least one component")
         sizes = {c.alphabet_size for c in components}
         if len(sizes) != 1:
             raise ConfigError("mixture components must share one alphabet")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordsource import ConfigError, TimeSubsequence, entropy, ergodic, experiments, harness
+from wordsource import ConfigError, TimeSubsequence, cli, entropy, ergodic, experiments, harness
 from wordsource.cli import main
 from wordsource.entropy import DEFAULT_ENUMERATION_CELLS, conservation_report
 from wordsource.harness import (
@@ -1102,3 +1102,112 @@ def test_ams_markov_needs_an_irreducible_aperiodic_chain(tmp_path, capsys, model
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "input error: " in err and "irreducible" in err
+
+
+def _cycle(k, start=0):
+    """The deterministic k-cycle 0 -> 1 -> .. -> k-1 -> 0, started at ``start``."""
+    return {"type": "markov", "init": [float(j == start) for j in range(k)],
+            "P": [[float(j == (i + 1) % k) for j in range(k)] for i in range(k)]}
+
+
+@pytest.mark.parametrize("model", [_cycle(2, start=1), _cycle(3), _cycle(5, start=3)],
+                         ids=["swap-from-1", "3-cycle", "5-cycle-from-3"])
+def test_ams_markov_periodic_targets_are_computed(tmp_path, model):
+    # the per-step values and the Cesaro limit 1/k come from the chain, so
+    # every periodic 0/1 chain passes, not only the default swap from state 0
+    cfg = tmp_path / "ams.json"
+    cfg.write_text(json.dumps({"experiment": "ams-markov", "params": {"periodic_model": model}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "ams-markov.summary.json").read_text())["summary"]
+    assert summary["periodic_alternates"] and summary["periodic_cesaro_within_1_over_n"]
+    k, start = len(model["P"]), model["init"].index(1.0)
+    per_step = (out / "ams-markov.per_step.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in per_step] == [
+        float((start + i) % k == 0) for i in range(len(per_step))]
+
+
+@pytest.mark.parametrize("model", [
+    {"type": "markov", "P": [[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]], "init": [1, 0, 0]},
+    {"type": "markov", "P": [[0.5, 0.5], [0.5, 0.5]], "init": [1, 0]},
+], ids=["stochastic-periodic", "aperiodic"])
+def test_ams_markov_needs_a_periodic_0_1_chain(tmp_path, capsys, model):
+    cfg = tmp_path / "ams.json"
+    cfg.write_text(json.dumps({"experiment": "ams-markov", "params": {"periodic_model": model}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "input error: params.periodic_model: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_mixture_exits_2(capsys):
+    model = json.dumps({"type": "mixture", "weights": [], "components": []})
+    assert main(["induced-prob", "--model", model, "--codebook", CODEBOOK, "--block", "0"]) == 2
+    assert "config error: mixture weights: " in capsys.readouterr().err
+
+
+def test_dp_oracle_codes_pinned(tmp_path):
+    # the codebooks dp-oracle draws at its default seed, column by column
+    run_experiment(resolve_config({"experiment": "dp-oracle", "output_dir": str(tmp_path)}))
+    lines = (tmp_path / "dp-oracle.pairs.csv").read_text().splitlines()
+    columns = lines[0].split(",")
+    code, prefix_free = columns.index("code"), columns.index("prefix_free")
+    cells = [line.split(",") for line in lines[1:]]
+    blob = "\n".join(f"{row[code]},{row[prefix_free]}" for row in cells).encode()
+    assert len(cells) == 50
+    assert (hashlib.sha256(blob).hexdigest()
+            == "819656055aef4b457ccfde2ea43f63f65f8f5e88222b0b4e0bac32c7eca28b68")
+
+
+OUT_COMMANDS = {
+    "entropy-trace": ["--model", MODEL, "--horizon", "20"],
+    "ams-check": ["--model", MODEL, "--cylinder", "0", "--horizon", "20"],
+    "vls-orbit": ["--constant", "2", "--input", "0101"],
+    "bellow": ["--horizon", "20"],
+    "aep": [],
+    "conservation": [],
+    "run": ["--config", str(CONFIG_DIR / "bellow.json")],
+}
+TABLE_COMMANDS = ("entropy-trace", "ams-check", "vls-orbit", "bellow")
+
+
+def _fail_if_called(monkeypatch, command):
+    """Make a table command, or every experiment a run would start, fail if called."""
+    def work(_):
+        raise AssertionError(f"{command} ran")
+
+    if command in TABLE_COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), work)
+    for name in harness.REGISTRY:
+        monkeypatch.setitem(harness.REGISTRY, name, work)
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    _fail_if_called(monkeypatch, command)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "x.csv"
+    assert main([command, *OUT_COMMANDS[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write results to {out}: " in err
+    assert "Not a directory" in err if command in TABLE_COMMANDS else f"{afile} is not a" in err
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_out_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               command):
+    _fail_if_called(monkeypatch, command)
+    assert main([command, *OUT_COMMANDS[command], "--out", str(tmp_path)]) == 2
+    assert f"cannot write results to {tmp_path}: {tmp_path} is a directory" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    _fail_if_called(monkeypatch, command)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, *OUT_COMMANDS[command], "--out", str(out)]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()

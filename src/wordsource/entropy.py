@@ -27,17 +27,16 @@ One forward scan serves cylinder probabilities, sample-entropy traces and the
 AEP experiment (per-path sample entropy against the component bound
 entropy-rate / expected-codeword-length). It runs as a finite automaton: a
 component's next vector and log increment depend only on (previous symbol,
-vector, symbol), so each step is taken once and stored on the measure's chain,
-keyed by that pair and symbol. One depth-first walk of each component's tree
-of stored nodes fills the block tables of every length 1 .. n behind
-H_1 .. H_n. One method computes a step from the chain's own moves, in a fixed
-float order, for the scan and the table walk alike, so a stored step is
-bitwise the step recomputed; past the cap of MAX_INTERNED_NODES nodes per
-measure new steps are computed, not stored. The scales add the same
-increments in the same order, and are combined into log q only where it is
-read: at a scan's checkpoints by ``sources.log_mixture``, and in the tables a
-chunk of cells at a time, with numpy's adds, max and component-order sums
-and ``math``'s exp and log, which is ``log_mixture`` per cell, bit for bit.
+vector, symbol), so each step is taken once, by one method in a fixed float
+order, and stored on the measure's chain; past MAX_INTERNED_NODES nodes per
+measure new steps are computed, not stored, and bitwise the same. A long scan
+numbers a component's nodes and walks them as a ``sources.BlockAutomaton``, k
+symbols per Python step. One depth-first walk of each component's tree of
+stored nodes fills the block tables of every length 1 .. n behind H_1 .. H_n.
+The scales add the same increments in the same order, and are combined into
+log q only where it is read: at a scan's checkpoints by ``log_mixture``, and
+in the tables a chunk of cells at a time, with numpy's adds, max and
+component-order sums and ``math``'s exp and log, bit for bit.
 A source model's own law mu is the identity-codebook case, so its scans and
 tables run on this kernel too. Shifted cylinder probabilities q(T^-i [b]) =
 (start T^i) . r_b, for sources too, step the same chain's dense transition
@@ -64,6 +63,8 @@ from .sources import (
     LN2,
     LOG_PROB_SLACK,
     NEG_INF,
+    SAMPLE_CHUNK,
+    BlockAutomaton,
     PathSample,
     _clamp_log_prob,
     as_cylinder,
@@ -123,6 +124,7 @@ class _Chain:
             self.log_weights.append(log_weight)
         self.roots = [((B, (1.0,)), [None] * B) for _ in self.rows]
         self.nodes = [{} for _ in self.rows]
+        self.automata = {}
 
     def step(self, c, node, symbol):
         """Component c's forward step from ``node`` on ``symbol``, stored in
@@ -167,6 +169,38 @@ class _Chain:
         nexts[symbol] = (succ, inc)
         return succ, inc
 
+    def automaton(self, c, n):
+        """Component c's nodes, numbered breadth first from its root, as
+        (``BlockAutomaton``, inc[state, symbol]); the table holds at most
+        min(n, DEFAULT_ENUMERATION_CELLS) cells. State 1 is the root; a death
+        steps to None, state 0, which loops on 0.0. Built once, by ``step``, so
+        its nodes count against MAX_INTERNED_NODES; None, remembered, when it
+        takes over n steps, meets an unstored step or outgrows the cell cap.
+        """
+        if c in self.automata:
+            return self.automata[c]
+        self.automata[c] = None
+        B, root = len(self.targets[c]), self.roots[c]
+        order, number, nxt, inc = [root], {id(None): 0, id(root): 1}, [0] * B, [0.0] * B
+        for node in order:
+            if len(nxt) > min(n, DEFAULT_ENUMERATION_CELLS - B):  # steps and cells once stepped
+                return None
+            for b in range(B):
+                out = node[1][b]
+                if out is None:
+                    out = self.step(c, node, b)
+                    if out and node[1][b] is None:
+                        return None
+                succ, x = out or (None, 0.0)
+                nxt.append(number.setdefault(id(succ), len(order) + 1))
+                if nxt[-1] > len(order):
+                    order.append(succ)
+                inc.append(x)
+        shape, cells = (len(order) + 1, B), min(n, DEFAULT_ENUMERATION_CELLS)
+        self.automata[c] = (BlockAutomaton(*shape, np.reshape(nxt, shape).__getitem__, cells),
+                            np.reshape(inc, shape))
+        return self.automata[c]
+
     @cached_property
     def dense(self):
         """(T, T transposed, start, emitted symbols) as arrays over all states.
@@ -189,38 +223,54 @@ def _scan(measure, symbols, checkpoints):
     """log q at each checkpoint the path reaches, and the 1-based position
     where it left the support (None if it never did).
 
-    ``checkpoints`` must be sorted, distinct, 1-based and no larger than
-    ``len(symbols)``: a segment cut short by the end of the list would read as
-    reached. Each component walks the path alone, one segment between two
-    checkpoints at a time, and its scale is read at the end of each segment it
-    finishes alive; the components are combined only there. Segments change
-    only where the scale is read, not what it adds: each step's increment is
-    added in path order, as a walk that tests every position for a checkpoint
-    adds it, so every float keeps its bits. A component that dies on a symbol
-    stops there; the symbol's position is the segment's end minus what the
-    segment has left.
+    ``symbols`` is a list or a 1-D integer array; ``checkpoints`` must be
+    sorted, distinct, 1-based and no larger than ``len(symbols)``: a segment
+    cut short by the end of the list would read as reached. Each component
+    walks the path alone, up to the last checkpoint, and the components are
+    combined only at checkpoints. In a scan of SAMPLE_CHUNK symbols or more,
+    a component whose closure holds (``_Chain.automaton``) walks as a
+    ``BlockAutomaton``: its scales are the cumulative sum of [0.0, gathered
+    increments], which adds in path order from +0.0 as a Python walk does, so
+    every float keeps its bits, and it dies where it first enters state 0.
+    Any other component walks one segment between checkpoints at a time, and
+    dies at the segment's end minus what the segment has left.
     """
     chain = measure._chain
+    n = checkpoints[-1]
     marks, deaths = [], []
     for c, node in enumerate(chain.roots):
-        scale, seen, lo = 0.0, [], 0
-        for hi in checkpoints:
-            segment = iter(symbols[lo:hi])
-            for s in segment:
-                out = node[1][s]
-                if not out:  # None: the step is not stored yet; (): death
-                    if out is None:
-                        out = chain.step(c, node, s)
-                    if not out:
-                        deaths.append(hi - length_hint(segment))
-                        break
-                node, inc = out
-                scale += inc
-            else:
-                seen.append(scale)
-                lo = hi
-                continue
-            break
+        closure = chain.automaton(c, n) if n >= SAMPLE_CHUNK else None
+        if closure:
+            automaton, incs = closure
+            path = np.asarray(symbols[:n])
+            states = automaton.walk(1, path)
+            before = np.concatenate(([1], states[:-1]))
+            scales = np.cumsum(np.concatenate(([0.0], incs[before, path])))
+            alive = n if states.all() else int(states.argmin())  # state 0 absorbs
+            if alive < n:
+                deaths.append(alive + 1)
+            seen = scales[checkpoints[:np.searchsorted(checkpoints, alive, "right")]].tolist()
+        else:
+            if isinstance(symbols, np.ndarray):
+                symbols = symbols.tolist()
+            scale, seen, lo = 0.0, [], 0
+            for hi in checkpoints:
+                segment = iter(symbols[lo:hi])
+                for s in segment:
+                    out = node[1][s]
+                    if not out:  # None: the step is not stored yet; (): death
+                        if out is None:
+                            out = chain.step(c, node, s)
+                        if not out:
+                            deaths.append(hi - length_hint(segment))
+                            break
+                    node, inc = out
+                    scale += inc
+                else:
+                    seen.append(scale)
+                    lo = hi
+                    continue
+                break
         marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
     # death is final, so the checkpoints some component reaches are a prefix
     lps = [log_mixture(chain.log_weights, scales)
@@ -250,7 +300,7 @@ class InducedMeasure:
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""
         arr = as_cylinder(symbols, self.alphabet_size)
-        lps, _ = _scan(self, arr.tolist(), [arr.size])
+        lps, _ = _scan(self, arr, [arr.size])
         return lps[0] if lps else NEG_INF
 
     def shifted_cylinder_probability(self, symbols, shift):
@@ -431,7 +481,7 @@ def sample_entropy_trace(measure, symbols, checkpoints, tol=1e-2):
         raise DomainError(
             f"max checkpoint {cps[-1]} exceeds the sequence length {arr.size}"
         )
-    lps, left_at = _scan(measure, arr.tolist(), cps)
+    lps, left_at = _scan(measure, arr, cps)
     values = np.array([(0.0 - lp) / (n * LN2) for n, lp in zip(cps, lps)], dtype=float)
     return EntropyTrace(
         horizons=np.array(cps[:len(lps)], dtype=np.int64),
@@ -514,7 +564,7 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
         comp_idx = ps.component_index if ps.component_index is not None else 0
         enc = encode_stream(word_function, ps.symbols)
         zeta_n = enc.total_length
-        lps, left_at = _scan(induced, enc.output.tolist(), [zeta_n])
+        lps, left_at = _scan(induced, enc.output, [zeta_n])
         if left_at is not None:
             raise DomainError("encoded path left the induced support; inconsistent DP")
         lp = lps[0]

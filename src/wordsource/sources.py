@@ -69,8 +69,8 @@ SAMPLE_CHUNK = 4096
 
 # A BlockAutomaton of K states and M input classes reads k inputs per Python
 # step, the largest k with max(M, 2)**k <= BLOCK_CODES block codes and
-# K * M**k * k <= DEFAULT_ENUMERATION_CELLS tabulated states; K * M above the
-# cap is refused.
+# K * M**k * k <= cells tabulated states (DEFAULT_ENUMERATION_CELLS unless the
+# caller passes fewer); K * M above the cap is refused.
 BLOCK_CODES = 1024
 
 
@@ -212,17 +212,17 @@ class BlockAutomaton:
 
     ``row(s)`` gives state s's successor on every input class. For each state
     and block code (k inputs as a base-M number) a table built once holds the
-    k states the block passes through, in the smallest unsigned dtype. A walk
-    takes one Python step per block and gathers the states a chunk at a time.
+    k states the block passes through, in the smallest unsigned dtype; it holds
+    at most ``cells`` states, so a walk of few inputs passes their number. A
+    walk takes one Python step per block and gathers the states a chunk at a time.
     """
 
-    def __init__(self, K, M, row):
+    def __init__(self, K, M, row, cells=DEFAULT_ENUMERATION_CELLS):
         if K * M > DEFAULT_ENUMERATION_CELLS:
             raise ResourceError(f"an automaton of {K} states and {M} input classes needs "
                                 f"{K * M} table entries (cap {DEFAULT_ENUMERATION_CELLS})")
         k = 1
-        while (max(M, 2) ** (k + 1) <= BLOCK_CODES
-               and K * M ** (k + 1) * (k + 1) <= DEFAULT_ENUMERATION_CELLS):
+        while max(M, 2) ** (k + 1) <= BLOCK_CODES and K * M ** (k + 1) * (k + 1) <= cells:
             k += 1
         step = np.empty((K, M), np.intp)
         for s in range(K):

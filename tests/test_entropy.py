@@ -552,11 +552,13 @@ def _reference_scan(measure, symbols, checkpoints):
     return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
-@pytest.mark.parametrize("cap", [0, entropy.MAX_INTERNED_NODES])
+@pytest.mark.parametrize("cap", [0, 4, entropy.MAX_INTERNED_NODES])
 def test_scan_segment_edges_match_a_per_symbol_walk(monkeypatch, cap):
-    # the scan walks whole segments between checkpoints; a path that dies at
-    # position 1, on a checkpoint, just after one or inside the last segment
-    # gives the per-symbol walk's floats and death position, bit for bit
+    # the scan walks whole segments between checkpoints, or, over SAMPLE_CHUNK
+    # symbols or more, each component whose closure holds as a block
+    # automaton; a path that dies at position 1, on a checkpoint, just after
+    # one, inside the last segment or after it (unreported) gives the
+    # per-symbol walk's floats and death position, bit for bit
     monkeypatch.setattr(entropy, "MAX_INTERNED_NODES", cap)
     n, sparse = 40, [5, 17, 30, 40]
     first_only = MixtureSource([0.25, 0.75], [IIDSource([1.0, 0.0]), IIDSource([0.4, 0.6])])
@@ -581,22 +583,88 @@ def test_scan_segment_edges_match_a_per_symbol_walk(monkeypatch, cap):
          + [with_ones(3, 17, 18), zeros]),
     ]
     seen_deaths = set()
-    for model, wf, paths in cases:
-        for path in paths:
-            for cps in (sparse, list(range(1, n + 1)), [n]):
-                got = _scan(InducedMeasure(model, wf), path, cps)
-                want = _reference_scan(InducedMeasure(model, wf), path, cps)
-                assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
-                assert got[1] == want[1]
-                seen_deaths.add(got[1])
+    for chunk in (16, entropy.SAMPLE_CHUNK):
+        monkeypatch.setattr(entropy, "SAMPLE_CHUNK", chunk)
+        routes = set()
+        for model, wf, paths in cases:
+            for path in paths:
+                for cps in (sparse, list(range(1, n + 1)), [n], sparse[:-1]):
+                    induced = InducedMeasure(model, wf)
+                    got = _scan(induced, np.array(path), cps)
+                    want = _reference_scan(InducedMeasure(model, wf), path, cps)
+                    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+                    assert got[1] == want[1]
+                    seen_deaths.add(got[1])
+                    routes |= {(wf is WF, closure is not None)
+                               for closure in induced._chain.automata.values()}
+        # a closure is built only over 16 symbols or more; {0, 10}'s closures
+        # take a few steps and nodes, so every cap but 0 holds them; {0, 00}'s
+        # 57 nodes take over 40 steps, so it always walks
+        assert routes == ({(False, False), (True, cap > 0)} if chunk == 16 else set())
     assert {None, 1, 17, 18, 37} <= seen_deaths
 
 
-def test_interning_cap_never_moves_a_bit_on_long_paths():
+def test_block_automaton_scan_matches_a_per_symbol_walk():
+    # about 100 random pairs on paths of SAMPLE_CHUNK symbols or more, half of
+    # them pushed off the support, some checkpoint sets ending before the
+    # path does: the floats and death positions are the per-symbol walk's
+    rng = np.random.default_rng(29)
+    n = entropy.SAMPLE_CHUNK + 300
+    closures = []
+    for i in range(100):
+        model, wf = _random_pair(rng)
+        induced = InducedMeasure(model, wf)
+        path = induced.sample_path(n, seed=i).symbols
+        if i % 2:
+            path[rng.integers(n, size=3)] = rng.integers(wf.output_alphabet_size, size=3)
+        marks = sorted(set(rng.integers(entropy.SAMPLE_CHUNK, n + 1, size=20).tolist()))
+        cps = ([n], marks, list(range(1, n + 1)))[i % 3]
+        got = _scan(induced, path, cps)
+        want = _reference_scan(InducedMeasure(model, wf), path.tolist(), cps)
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        assert got[1] == want[1]
+        closures += induced._chain.automata.values()
+    assert sum(c is not None for c in closures) > 0.9 * len(closures)
+    # this non-prefix-free code's closure runs past SAMPLE_CHUNK steps, so it
+    # gives up, remembers that, and its scans take the per-symbol walk
+    odd = InducedMeasure(IIDSource([0.2, 0.3, 0.5]), WordFunction(3, 2, ((0,), (0, 1), (1, 0))))
+    path = odd.sample_path(n, seed=1).symbols
+    path[n - 8:n - 4] = [0, 1, 1, 1]  # no concatenation of 0, 01, 10 holds 111
+    got = _scan(odd, path, [10, entropy.SAMPLE_CHUNK, n])
+    assert odd._chain.automata == {0: None} and odd._chain.automaton(0, 10 * n) is None
+    want = _reference_scan(InducedMeasure(odd.model, odd.word_function), path.tolist(),
+                           [10, entropy.SAMPLE_CHUNK, n])
+    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+    assert got[1] == want[1] and n - 6 <= got[1] <= n - 4
+    # under {0, 00} the all-zero path has probability 1: every increment is
+    # log1p(-0.0) = -0.0, and log q reads +0.0, as the walk's does
+    induced = InducedMeasure(FAIR, WF_ALL_ZERO)
+    lps, left_at = _scan(induced, np.zeros(n, np.int64), [n])
+    assert induced._chain.automata[0] is not None and left_at is None
+    assert lps == [0.0] and math.copysign(1.0, lps[0]) == 1.0
+
+
+def test_short_scans_build_no_automaton():
+    # a scan under SAMPLE_CHUNK symbols walks, so exact enumeration's many
+    # short cylinders, each on its own measure, build no table
+    induced = InducedMeasure(MIX, WF)
+    assert induced.cylinder_log_probability([0, 1, 0, 0, 1, 0, 1, 0]) > NEG_INF
+    assert induced._chain.automata == {}
+
+
+def test_interning_cap_never_moves_a_bit_on_long_paths(monkeypatch):
     path = InducedMeasure(MIX, WF).sample_path(10**4, seed=17).symbols
     three = MarkovSource([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]],
                          [0.2, 0.5, 0.3])
     wf3 = WordFunction(3, 3, ((0,), (0, 1), (2, 1, 0)))
+    automaton, routes = entropy._Chain.automaton, set()
+
+    def spy(chain, c, n):
+        closure = automaton(chain, c, n)
+        routes.add((entropy.MAX_INTERNED_NODES, closure is not None))
+        return closure
+
+    monkeypatch.setattr(entropy._Chain, "automaton", spy)
 
     def trace(cap):
         induced = InducedMeasure(MIX, WF)
@@ -607,8 +675,14 @@ def test_interning_cap_never_moves_a_bit_on_long_paths():
     def aep(cap):
         return [r.empirical_h for r in aep_experiment(three, wf3, 10**4, 2, seed=7)]
 
+    # the default cap holds every closure, so these scans walk block automata;
+    # cap 0 holds none, so they take the per-symbol walk; cap 4 holds MIX's
+    # first closure but not its second, so one component walks beside the other
     _assert_bitwise_equal(_under_each_cap(trace))
+    assert routes == {(0, False), (4, True), (4, False), (entropy.MAX_INTERNED_NODES, True)}
+    routes.clear()
     _assert_bitwise_equal(_under_each_cap(aep))
+    assert routes == {(0, False), (4, False), (entropy.MAX_INTERNED_NODES, True)}
 
 
 # -- one walk for every block length ---------------------------------------------

@@ -29,10 +29,10 @@ entropy-rate / expected-codeword-length). It runs as a finite automaton: a
 component's next vector and log increment depend only on (previous symbol,
 vector, symbol), so each step is taken once, by one method in a fixed float
 order, and stored on the measure's chain; past MAX_INTERNED_NODES nodes per
-measure new steps are computed, not stored, and bitwise the same. A long scan
-numbers a component's nodes and walks them as a ``sources.BlockAutomaton``, k
-symbols per Python step. One depth-first walk of each component's tree of
-stored nodes fills the block tables of every length 1 .. n behind H_1 .. H_n.
+measure new steps are computed, not stored, and bitwise the same. One
+breadth-first numbering of a component's nodes tabulates its steps; a long scan
+walks it as a ``sources.BlockAutomaton``, k symbols per Python step, and the
+block tables behind H_1 .. H_n gather it level by level, every length at once.
 The scales add the same increments in the same order, and are combined into
 log q only where it is read: at a scan's checkpoints by ``log_mixture``, and
 in the tables a chunk of cells at a time, with numpy's adds, max and
@@ -100,7 +100,7 @@ class _Chain:
     previous symbol, in state order; next[b] is None until the step on b is
     taken, then (successor node, log increment), or () if the component dies
     there. ``roots`` holds the fresh starts, key (B, (1.0,)); ``nodes[c]``
-    interns the others by key.
+    interns the others by key, and ``numbered`` tabulates them.
     """
 
     def __init__(self, parts, codewords, B):
@@ -169,36 +169,45 @@ class _Chain:
         nexts[symbol] = (succ, inc)
         return succ, inc
 
-    def automaton(self, c, n):
-        """Component c's nodes, numbered breadth first from its root, as
-        (``BlockAutomaton``, inc[state, symbol]); the table holds at most
-        min(n, DEFAULT_ENUMERATION_CELLS) cells. State 1 is the root; a death
-        steps to None, state 0, which loops on 0.0. Built once, by ``step``, so
-        its nodes count against MAX_INTERNED_NODES; None, remembered, when it
-        takes over n steps, meets an unstored step or outgrows the cell cap.
+    def numbered(self, c, cells, depth=None):
+        """Component c's nodes, numbered breadth first by key from its root,
+        state 1, as (next[state, symbol], inc[state, symbol]) with states in
+        the smallest unsigned dtype. A death steps to state 0, which loops,
+        and adds -inf. A node first reached ``depth`` levels down gets state
+        0's row, unstepped. Steps go through ``step``, so they count against
+        MAX_INTERNED_NODES, and nodes past the cap collapse by key. None past
+        ``cells`` entries or, when ``depth`` is None, at an unstored step.
         """
-        if c in self.automata:
-            return self.automata[c]
-        self.automata[c] = None
         B, root = len(self.targets[c]), self.roots[c]
-        order, number, nxt, inc = [root], {id(None): 0, id(root): 1}, [0] * B, [0.0] * B
-        for node in order:
-            if len(nxt) > min(n, DEFAULT_ENUMERATION_CELLS - B):  # steps and cells once stepped
+        order, number = [(root, 0)], {None: 0, root[0]: 1}  # key None: death
+        nxt, inc = [0] * B, [NEG_INF] * B
+        for node, level in order:
+            if len(nxt) + B > cells:
                 return None
             for b in range(B):
-                out = node[1][b]
+                out = node[1][b] if level != depth else ()
                 if out is None:
                     out = self.step(c, node, b)
-                    if out and node[1][b] is None:
+                    if out and node[1][b] is None and depth is None:
                         return None
-                succ, x = out or (None, 0.0)
-                nxt.append(number.setdefault(id(succ), len(order) + 1))
+                succ, x = out or ((None, None), NEG_INF)
+                nxt.append(number.setdefault(succ[0], len(order) + 1))
                 if nxt[-1] > len(order):
-                    order.append(succ)
+                    order.append((succ, level + 1))
                 inc.append(x)
-        shape, cells = (len(order) + 1, B), min(n, DEFAULT_ENUMERATION_CELLS)
-        self.automata[c] = (BlockAutomaton(*shape, np.reshape(nxt, shape).__getitem__, cells),
-                            np.reshape(inc, shape))
+        return (np.array(nxt, np.min_scalar_type(len(order))).reshape(-1, B),
+                np.array(inc).reshape(-1, B))
+
+    def automaton(self, c, n):
+        """Component c's ``numbered`` states as (``BlockAutomaton``,
+        inc[state, symbol]) of at most min(n, DEFAULT_ENUMERATION_CELLS)
+        cells, built once; None, remembered, where the numbering gives up.
+        """
+        if c not in self.automata:
+            cells = min(n, DEFAULT_ENUMERATION_CELLS)
+            tables = self.numbered(c, cells)
+            self.automata[c] = tables and (
+                BlockAutomaton(*tables[0].shape, tables[0].__getitem__, cells), tables[1])
         return self.automata[c]
 
     @cached_property
@@ -231,7 +240,8 @@ def _scan(measure, symbols, checkpoints):
     a component whose closure holds (``_Chain.automaton``) walks as a
     ``BlockAutomaton``: its scales are the cumulative sum of [0.0, gathered
     increments], which adds in path order from +0.0 as a Python walk does, so
-    every float keeps its bits, and it dies where it first enters state 0.
+    every float keeps its bits; it dies where it first enters state 0, and
+    the -inf of its death carries to every later checkpoint.
     Any other component walks one segment between checkpoints at a time, and
     dies at the segment's end minus what the segment has left.
     """
@@ -246,10 +256,9 @@ def _scan(measure, symbols, checkpoints):
             states = automaton.walk(1, path)
             before = np.concatenate(([1], states[:-1]))
             scales = np.cumsum(np.concatenate(([0.0], incs[before, path])))
-            alive = n if states.all() else int(states.argmin())  # state 0 absorbs
-            if alive < n:
-                deaths.append(alive + 1)
-            seen = scales[checkpoints[:np.searchsorted(checkpoints, alive, "right")]].tolist()
+            if not states.all():  # state 0 absorbs
+                deaths.append(int(states.argmin()) + 1)
+            seen = scales[checkpoints].tolist()
         else:
             if isinstance(symbols, np.ndarray):
                 symbols = symbols.tolist()
@@ -368,11 +377,11 @@ def block_log_probability_tables(measure, n):
     """Log probabilities of every cylinder of length 1 .. n: tables[d - 1]
     holds the B**d cylinders of length d, in lexicographic order.
 
-    The cell cap is checked for B**n before any step is taken. Then each
-    component walks its own forward nodes depth first, once, sharing prefix
-    work across tuples and pruning where it dies, and leaves its log scale
-    in its column at every depth; entry i of a length-d table corresponds to
-    the base-|alphabet| digits of i. Each depth's columns are combined by
+    The cell cap is checked for B**n before any step is taken. Each
+    component's log scales are then gathered level by level over its
+    ``_Chain.numbered`` nodes: a cell is its parent's scale plus the parent
+    state's increment, -inf once dead, and entry i of a length-d table is the
+    base-|alphabet| digits of i. Each depth's columns are combined by
     ``_combine_columns``, in place of component 0's column.
     """
     if n < 1:
@@ -383,27 +392,16 @@ def block_log_probability_tables(measure, n):
             f"block table needs {B**n} cylinders, over the cap of {DEFAULT_ENUMERATION_CELLS}"
         )
     chain = measure._chain
-    # columns[d][c]: component c's log scales at depth d + 1; a dead prefix
-    # keeps -inf for its whole subtree
-    columns = [[np.full(B**d, NEG_INF) for _ in chain.roots] for d in range(1, n + 1)]
-    # the walk writes one cell at a time, and a memoryview takes a float
-    # faster than an array does
-    views = [list(map(memoryview, depth)) for depth in columns]
-    for c, root in enumerate(chain.roots):
-        # (node, its log scale, its depth, the index of its first child's cell)
-        stack = [(root, 0.0, 0, 0)]
-        while stack:
-            node, scale, depth, first = stack.pop()
-            column, deeper = views[depth][c], depth + 1 < n
-            for b, out in enumerate(node[1]):
-                if out is None:
-                    out = chain.step(c, node, b)
-                if not out:
-                    continue
-                child, inc = out
-                column[first + b] = lp = scale + inc
-                if deeper:
-                    stack.append((child, lp, depth + 1, (first + b) * B))
+    columns = [[] for _ in range(n)]  # columns[d][c]: component c's log scales at depth d + 1
+    for c in range(len(chain.roots)):
+        nxt, inc = chain.numbered(c, math.inf, n)
+        state, scale = np.ones(1, nxt.dtype), np.zeros(1)
+        for column in columns:
+            cells = inc[state]
+            cells += scale[:, None]
+            state, scale = nxt[state].ravel(), cells.ravel()
+            column.append(scale)
+    del state  # the length-n states: read by nothing, they would live through the combine
     return [_combine_columns(chain.log_weights, depth) for depth in columns]
 
 

@@ -771,6 +771,39 @@ def test_block_table_of_more_than_one_chunk_equals_one_walk():
     assert all(np.isfinite(half).any() for half in np.split(table, 2))
 
 
+def test_block_table_numbers_nodes_by_key(monkeypatch):
+    # at cap 0 every step returns a fresh node object; numbered by key, a
+    # Markov chain under the identity code has the dead state, the root and
+    # one point mass per symbol, where a numbering by object would hold one
+    # row per cell
+    monkeypatch.setattr(entropy, "MAX_INTERNED_NODES", 0)
+    model = MarkovSource([[0.7, 0.3], [0.4, 0.6]], [0.5, 0.5])
+    identity = WordFunction(2, 2, ((0,), (1,)))
+    induced = InducedMeasure(model, identity)
+    nxt, inc = induced._chain.numbered(0, math.inf, 16)
+    assert nxt.shape == inc.shape == (4, 2) and nxt.dtype == np.uint8
+    assert _interned(induced) == 0
+    table = block_log_probability_table(induced, 16)
+    assert table.tobytes() == _reference_table(InducedMeasure(model, identity), 16).tobytes()
+
+
+def test_block_tables_leave_the_scan_nothing():
+    # a table's numbering stops at its depth, so it must not become a scan's
+    # closure: the scan that follows builds its own and reads the walk's bits;
+    # at depth 1 a kept numbering would kill the scan at its second symbol
+    n = entropy.SAMPLE_CHUNK + 300
+    path = InducedMeasure(MIX, WF).sample_path(n, seed=3).symbols
+    cps = [1, 17, entropy.SAMPLE_CHUNK, n]
+    want = _reference_scan(InducedMeasure(MIX, WF), path.tolist(), cps)
+    for depth in (1, 8):
+        induced = InducedMeasure(MIX, WF)
+        entropy.block_log_probability_tables(induced, depth)
+        assert induced._chain.automata == {}
+        got = _scan(induced, path, cps)
+        assert all(induced._chain.automata.values())
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes() and got[1] == want[1]
+
+
 def test_combine_is_log_mixture_per_cell(monkeypatch):
     monkeypatch.setattr(entropy, "COMBINE_CHUNK", 2)
     log_weights = (math.log(0.2), math.log(0.3), math.log(0.5))

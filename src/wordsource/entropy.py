@@ -564,7 +564,7 @@ def aep_experiment(model, word_function, horizon, paths, seed, tol=0.02):
         zeta_n = enc.total_length
         lps, left_at = _scan(induced, enc.output, [zeta_n])
         if left_at is not None:
-            raise DomainError("encoded path left the induced support; inconsistent DP")
+            raise ArithmeticError("encoded path left the induced support; inconsistent DP")
         lp = lps[0]
         # 0.0 - lp, not -lp: a path of probability 1 gets +0.0, never -0.0
         empirical = (0.0 - lp) / (zeta_n * LN2)

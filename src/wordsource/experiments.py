@@ -172,10 +172,66 @@ def run_dp_oracle(cfg):
 
 
 # ---------------------------------------------------------------------------
-# experiments 2-4: AEP runs
+# experiments 2-5: AEP runs and conservation of entropy
 # ---------------------------------------------------------------------------
 
-def _aep_result(name, passed, summary, reports):
+def _rate_gap(report, tol):
+    """(measured block entropy rate minus the integral bound, whether it holds):
+    ``|gap| <= tol`` for a prefix-free code, ``gap <= tol`` for any other."""
+    gap = report.empirical_entropy_rate - report.integral_bound
+    return gap, abs(gap) <= tol if report.prefix_free else gap <= tol
+
+
+def run_aep(cfg):
+    """Per-path AEP, one runner for aep-prefix-free, aep-non-prefix-free and aep-mixture.
+
+    ``aep_experiment`` judges each path against its own component's bound.
+    Every path must be ``equality`` for a prefix-free code, and none a
+    ``violation`` for any other; codewords over one output symbol give a
+    constant stream, whose sample entropies must all be exactly 0. Where the
+    config has them, ``tolerances.cluster_weight`` checks each component's
+    share of the paths against its weight, and ``params.block_cap`` checks the
+    conditional block entropy against the integral bound by conservation's rule.
+    """
+    model = model_from_config(cfg.model)
+    wf = word_function_from_config(cfg.codebook)
+    tols = cfg.tolerances
+    # built first, so a cap the tables refuse is refused before any path is drawn
+    cons = (conservation_report(model, wf, block_cap=int(cfg.params["block_cap"]))
+            if "block_cap" in cfg.params else None)
+    tol = float(tols["equality"])
+    reports = aep_experiment(model, wf, cfg.horizon, cfg.paths, cfg.seed, tol=tol)
+    verdicts = {"equality": 0, "strict_inequality": 0, "violation": 0}
+    for r in reports:
+        verdicts[r.verdict] += 1
+    components = reports[0].per_component
+    prefix_free = reports[0].prefix_free
+    all_zero = all(r.empirical_h == 0.0 for r in reports)
+    constant_output = len({s for word in wf.codewords for s in word}) == 1
+    shares = [sum(r.component_index == c for r in reports) / len(reports)
+              for c in range(len(components))]
+    weights = [cb.weight for cb in components]
+    passed = ((verdicts["equality"] == len(reports) if prefix_free else verdicts["violation"] == 0)
+              and (all_zero or not constant_output))
+    summary = {
+        "paths": cfg.paths,
+        "verdicts": verdicts,
+        "bound": math.fsum(cb.weight * cb.bound for cb in components),
+        "prefix_free": prefix_free,
+        "all_sample_entropies_zero": all_zero,
+        "equality_tolerance": tol,
+        "component_bounds": [cb.bound for cb in components],
+        "component_weights": weights,
+        "cluster_shares": shares,
+    }
+    if "cluster_weight" in tols:
+        summary["weight_tolerance"] = weight_tol = float(tols["cluster_weight"])
+        passed = passed and all(abs(s - w) <= weight_tol for s, w in zip(shares, weights))
+    if cons is not None:
+        summary["conditional_tolerance"] = cond_tol = float(tols["conditional_entropy"])
+        summary["conditional_block_entropy"] = cons.empirical_entropy_rate
+        summary["block_cap"] = cons.block_cap
+        passed = passed and _rate_gap(cons, cond_tol)[1]
     columns = ["path", "component", "input_horizon", "output_horizon",
                "empirical_h", "bound", "verdict",
                "source_sample_entropy", "scaled_output_sample_entropy"]
@@ -185,84 +241,8 @@ def _aep_result(name, passed, summary, reports):
          repr(r.source_sample_entropy), repr(r.scaled_output_sample_entropy))
         for r in reports
     ]
-    return ExperimentResult(name, passed, summary, {"paths": (columns, rows)})
+    return ExperimentResult(cfg.experiment, passed, summary, {"paths": (columns, rows)})
 
-
-def _aep_runs(cfg):
-    """(model, codebook, the reports of one ``aep_experiment`` call, the summary
-    keys every AEP runner writes). ``aep_experiment`` judges each path against
-    its own component's bound; the runners judge paths only by those verdicts."""
-    model = model_from_config(cfg.model)
-    wf = word_function_from_config(cfg.codebook)
-    tol = float(cfg.tolerances["equality"])
-    reports = aep_experiment(model, wf, cfg.horizon, cfg.paths, cfg.seed, tol=tol)
-    counts = {"equality": 0, "strict_inequality": 0, "violation": 0}
-    for r in reports:
-        counts[r.verdict] += 1
-    return model, wf, reports, {"paths": cfg.paths, "verdicts": counts}
-
-
-def run_aep_prefix_free(cfg):
-    model, wf, reports, shared = _aep_runs(cfg)
-    cap = int(cfg.params["block_cap"])
-    cons = conservation_report(model, wf, block_cap=cap)
-    cond_tol = float(cfg.tolerances["conditional_entropy"])
-    passed = (
-        shared["verdicts"]["equality"] == len(reports)
-        and abs(cons.empirical_entropy_rate - cons.integral_bound) <= cond_tol
-    )
-    summary = {
-        **shared,
-        "bound": cons.integral_bound,
-        "conditional_block_entropy": cons.empirical_entropy_rate,
-        "block_cap": cap,
-        "equality_tolerance": float(cfg.tolerances["equality"]),
-        "conditional_tolerance": cond_tol,
-        "prefix_free": reports[0].prefix_free,
-    }
-    return _aep_result("aep-prefix-free", passed, summary, reports)
-
-
-def run_aep_non_prefix_free(cfg):
-    _, wf, reports, shared = _aep_runs(cfg)
-    all_zero = all(r.empirical_h == 0.0 for r in reports)
-    # codewords over one output symbol give a constant stream, whose sample
-    # entropy is exactly 0; any other code only has to stay under its bound
-    constant_output = len({s for word in wf.codewords for s in word}) == 1
-    passed = shared["verdicts"]["violation"] == 0 and (all_zero or not constant_output)
-    summary = {
-        **shared,
-        "bound": math.fsum(cb.weight * cb.bound for cb in reports[0].per_component),
-        "all_sample_entropies_zero": all_zero,
-        "prefix_free": reports[0].prefix_free,
-    }
-    return _aep_result("aep-non-prefix-free", passed, summary, reports)
-
-
-def run_aep_mixture(cfg):
-    _, _, reports, shared = _aep_runs(cfg)
-    weight_tol = float(cfg.tolerances["cluster_weight"])
-    bounds = [cb.bound for cb in reports[0].per_component]
-    shares = [
-        sum(r.component_index == c for r in reports) / len(reports)
-        for c in range(len(bounds))
-    ]
-    weights = [cb.weight for cb in reports[0].per_component]
-    weights_ok = all(abs(s - w) <= weight_tol for s, w in zip(shares, weights))
-    passed = shared["verdicts"]["equality"] == len(reports) and weights_ok
-    summary = {
-        **shared,
-        "component_bounds": bounds,
-        "component_weights": weights,
-        "cluster_shares": shares,
-        "weight_tolerance": weight_tol,
-    }
-    return _aep_result("aep-mixture", passed, summary, reports)
-
-
-# ---------------------------------------------------------------------------
-# experiment 5: conservation of entropy
-# ---------------------------------------------------------------------------
 
 def run_conservation(cfg):
     model = model_from_config(cfg.model)
@@ -275,11 +255,7 @@ def run_conservation(cfg):
     for n, h in enumerate(report.block_entropies, start=1):
         rows.append((n, repr(h), repr(h - prev) if prev is not None else ""))
         prev = h
-    gap = report.empirical_entropy_rate - report.integral_bound
-    if report.prefix_free:
-        passed = abs(gap) <= tol
-    else:
-        passed = report.empirical_entropy_rate <= report.integral_bound + tol
+    gap, passed = _rate_gap(report, tol)
     summary = {
         "integral_bound": report.integral_bound,
         "empirical_entropy_rate": report.empirical_entropy_rate,
@@ -647,9 +623,9 @@ def run_determinism(cfg):
 
 REGISTRY = {
     "dp-oracle": run_dp_oracle,
-    "aep-prefix-free": run_aep_prefix_free,
-    "aep-non-prefix-free": run_aep_non_prefix_free,
-    "aep-mixture": run_aep_mixture,
+    "aep-prefix-free": run_aep,
+    "aep-non-prefix-free": run_aep,
+    "aep-mixture": run_aep,
     "conservation": run_conservation,
     "ams-markov": run_ams_markov,
     "output-ergodicity": run_output_ergodicity,

@@ -16,6 +16,8 @@ from wordsource import ConfigError, TimeSubsequence, cli, entropy, ergodic, expe
 from wordsource.cli import main
 from wordsource.entropy import DEFAULT_ENUMERATION_CELLS, conservation_report
 from wordsource.harness import (
+    CODE_NON_PREFIX_FREE,
+    CODE_PREFIX_FREE,
     EXPERIMENT_DEFAULTS,
     resolve_config,
     run_experiment,
@@ -486,12 +488,12 @@ def test_cli_run_pass_and_fail_exit_codes(tmp_path, capsys):
     }))
     assert main(["run", "--config", str(good)]) == 0
 
-    # a prefix-free AEP config pointed at a non-prefix-free codebook fails its
-    # equality verdicts: exit code 1
+    # an equality tolerance far below a 200-symbol path's spread fails the
+    # prefix-free code's equality verdicts: exit code 1
     failing = tmp_path / "failing.json"
     failing.write_text(json.dumps({
         "experiment": "aep-prefix-free", "seed": 0, "horizon": 200, "paths": 4,
-        "codebook": {"input_alphabet": 2, "output_alphabet": 2, "code": ["0", "00"]},
+        "tolerances": {"equality": 1e-6},
         "params": {"block_cap": 8},
         "output_dir": str(tmp_path / "out2"),
     }))
@@ -1051,6 +1053,73 @@ def test_aep_non_prefix_free_mutants_fail_the_verdict(tmp_path, capsys, monkeypa
     assert main(["aep", "--codebook", codebook, "--paths", "3", "--horizon", "200",
                  "--out", str(tmp_path / "out")]) == 1
     assert "error" not in capsys.readouterr().err
+
+
+AEP_SMALL = {"seed": 0, "horizon": 200, "paths": 5}
+
+
+@pytest.mark.parametrize("config, tight, spoil", [
+    ({"experiment": "aep-non-prefix-free", "codebook": CODE_PREFIX_FREE,
+      "tolerances": {"equality": 1.0}}, {}, {"verdict": "strict_inequality"}),
+    # five paths never split 50/50
+    ({"experiment": "aep-mixture", "tolerances": {"equality": 1.0, "cluster_weight": 0.5}},
+     {"cluster_weight": 1e-3}, None),
+    ({"experiment": "aep-prefix-free", "tolerances": {"equality": 1.0},
+      "params": {"block_cap": 8}}, {"conditional_entropy": 1e-3}, None),
+], ids=["strict-inequality-of-a-prefix-free-code", "cluster-share", "conditional-block-entropy"])
+def test_each_aep_check_fails_the_run_on_its_own(tmp_path, capsys, monkeypatch, config, tight,
+                                                 spoil):
+    # each config passes as given; one tightened tolerance or one spoilt verdict fails it,
+    # whichever experiment name the config runs under
+    cfg = tmp_path / "aep.json"
+    cfg.write_text(json.dumps({**AEP_SMALL, **config}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "loose")]) == 0
+    if spoil:
+        monkeypatch.setattr(experiments, "aep_experiment",
+                            _spoil_last_report(**spoil)(experiments.aep_experiment))
+    cfg.write_text(json.dumps({**AEP_SMALL, **config,
+                               "tolerances": {**config["tolerances"], **tight}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "tight")]) == 1
+    assert "error" not in capsys.readouterr().err
+
+
+def test_aep_prefix_free_over_a_constant_code_passes(tmp_path, capsys):
+    # {0, 00} is not prefix-free: its paths need no equality verdict, only sample
+    # entropies of exactly 0, and its block entropy rate only stays under the bound
+    cfg = tmp_path / "aep.json"
+    cfg.write_text(json.dumps({**AEP_SMALL, "experiment": "aep-prefix-free",
+                               "codebook": CODE_NON_PREFIX_FREE}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "aep-prefix-free.summary.json").read_text())["summary"]
+    assert summary["all_sample_entropies_zero"] is True
+    assert summary["verdicts"]["strict_inequality"] == 5
+
+
+@pytest.mark.parametrize("cap, code, message", [
+    (21, 3, "resource error: "),
+    (1, 2, "block cap must be >= 2"),
+])
+def test_aep_block_cap_refused_before_any_path_is_sampled(tmp_path, capsys, monkeypatch,
+                                                           cap, code, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the block cap was checked")
+
+    monkeypatch.setattr(experiments, "aep_experiment", no_sampling)
+    cfg = tmp_path / "aep.json"
+    cfg.write_text(json.dumps({"experiment": "aep-prefix-free", "paths": 2000,
+                               "params": {"block_cap": cap}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_aep_path_leaving_the_induced_support_is_an_internal_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a sampled path always lies in the support, so a scan that reports a death is
+    # a fault of the package, not of the input
+    monkeypatch.setattr(entropy, "_scan", lambda measure, symbols, checkpoints: ([], 1))
+    assert main(["aep", "--paths", "2", "--horizon", "100", "--out", str(tmp_path / "out")]) == 4
+    assert "internal error: ArithmeticError: encoded path left the induced support" in (
+        capsys.readouterr().err)
 
 
 TERNARY_IID = {"type": "iid", "dist": [0.2, 0.3, 0.5]}

@@ -20,8 +20,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import __version__
 from .entropy import InducedMeasure, sample_entropy_trace
 from .ergodic import CylinderFunction, ams_diagnostic, default_checkpoints, ergodicity_spread
@@ -36,14 +34,8 @@ from .errors import (
 )
 from .harness import (TABLE_WRITERS, read_json, resolve_config, run_experiment, validate_config,
                       writing_results)
-from .shifts import (
-    TimeSubsequence,
-    VariableLengthShiftSpec,
-    _periodic,
-    bellow_check,
-    variable_length_orbit,
-    weight_sequence,
-)
+from .shifts import (VariableLengthShiftSpec, alternating_trace, variable_length_orbit,
+                     weight_sequence)
 from .sources import LN2, model_from_config
 from .wordcode import (
     decode_prefix_free,
@@ -249,15 +241,8 @@ def cmd_vls_orbit(args):
 def cmd_bellow(args):
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
-    horizon = args.horizon
-    zeta = np.arange(0, horizon + args.stride + 1, args.stride)
-    ts = TimeSubsequence(zeta=zeta)
-    values = _periodic([1.0, -1.0], horizon)
-    checkpoints = default_checkpoints(horizon)
-    rows = []
-    for n in checkpoints:
-        partials = bellow_check(values, ts, int(n))
-        rows.append((int(n), repr(partials.lhs), repr(partials.rhs)))
+    trace = alternating_trace(args.horizon, args.stride, default_checkpoints(args.horizon))
+    rows = [(n, repr(lhs), repr(rhs)) for n, lhs, rhs in trace]
     for row in rows:
         print(",".join(map(str, row)))
     if args.out:

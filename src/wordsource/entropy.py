@@ -27,9 +27,9 @@ One forward scan serves cylinder probabilities, sample-entropy traces and the
 AEP experiment (per-path sample entropy against the component bound
 entropy-rate / expected-codeword-length). It runs as a finite automaton: a
 component's next vector and log increment depend only on (previous symbol,
-vector, symbol), so each step is taken once, by one method in a fixed float
-order, and stored on the measure's chain; past MAX_INTERNED_NODES nodes per
-measure new steps are computed, not stored, and bitwise the same. One
+vector, symbol), so each live step is taken once, by one method in a fixed
+float order, and stored on the measure's chain; past MAX_INTERNED_NODES nodes
+per measure new steps are computed, not stored, and bitwise the same. One
 breadth-first numbering of a component's nodes tabulates its steps; a long scan
 walks it as a ``sources.BlockAutomaton``, k symbols per Python step, and the
 block tables behind H_1 .. H_n gather it level by level, every length at once.
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ergodic import _trailing_spread
-from .errors import DomainError, RangeError, ResourceError
+from .errors import DomainError, ResourceError
 from .sources import (
     DEFAULT_ENUMERATION_CELLS,
     LN2,
@@ -69,14 +69,13 @@ from .sources import (
     _clamp_log_prob,
     as_cylinder,
     as_symbols,
+    check_shift_steps,
     log_mixture,
     seed_sequence,
 )
 from .wordcode import (WordFunction, check_alphabets, encode_stream, expected_codeword_length,
                        is_prefix_free)
 
-# A shifted cylinder probability steps the dense chain at most this many times.
-DEFAULT_MAX_SHIFT_STEPS = 10**7
 # A measure interns at most this many forward nodes; later ones are not stored.
 MAX_INTERNED_NODES = 2**16
 # Block tables combine their components this many cells at a time.
@@ -97,9 +96,9 @@ class _Chain:
 
     A forward node is (key, next): key is (previous symbol, normalised vector
     as a tuple), the vector held over the component's states that emit the
-    previous symbol, in state order; next[b] is None until the step on b is
-    taken, then (successor node, log increment), or () if the component dies
-    there. ``roots`` holds the fresh starts, key (B, (1.0,)); ``nodes[c]``
+    previous symbol, in state order; next[b] is None until a live step on b
+    is stored, then (successor node, log increment); a death is returned,
+    never stored. ``roots`` holds the fresh starts, key (B, (1.0,)); ``nodes[c]``
     interns the others by key, and ``numbered`` tabulates them.
     """
 
@@ -127,8 +126,8 @@ class _Chain:
         self.automata = {}
 
     def step(self, c, node, symbol):
-        """Component c's forward step from ``node`` on ``symbol``, stored in
-        the node unless the successor is new and the interning cap is full.
+        """Component c's forward step from ``node`` on ``symbol``, or () for a
+        death; a live step is stored unless it reaches a new node past the cap.
 
         Its sources are ``rows[c][prev]`` (row B after the fresh start, so a
         root steps like any node) and its targets ``targets[c][symbol]``.
@@ -156,7 +155,6 @@ class _Chain:
         for x in new:
             kept += x
         if kept == 0.0:
-            nexts[symbol] = ()
             return ()
         inc = math.log1p(-leak) if leak < 0.5 else math.log(kept)
         key = (symbol, tuple([x / kept for x in new]))
@@ -176,7 +174,7 @@ class _Chain:
         and adds -inf. A node first reached ``depth`` levels down gets state
         0's row, unstepped. Steps go through ``step``, so they count against
         MAX_INTERNED_NODES, and nodes past the cap collapse by key. None past
-        ``cells`` entries or, when ``depth`` is None, at an unstored step.
+        ``cells`` entries or, when ``depth`` is None, at an unstored live step.
         """
         B, root = len(self.targets[c]), self.roots[c]
         order, number = [(root, 0)], {None: 0, root[0]: 1}  # key None: death
@@ -229,8 +227,8 @@ class _Chain:
 
 
 def _scan(measure, symbols, checkpoints):
-    """log q at each checkpoint the path reaches, and the 1-based position
-    where it left the support (None if it never did).
+    """log q at each checkpoint, -inf from where every component has died,
+    and the 1-based position where it left the support (None if it never did).
 
     ``symbols`` is a list or a 1-D integer array; ``checkpoints`` must be
     sorted, distinct, 1-based and no larger than ``len(symbols)``: a segment
@@ -267,9 +265,8 @@ def _scan(measure, symbols, checkpoints):
                 segment = iter(symbols[lo:hi])
                 for s in segment:
                     out = node[1][s]
-                    if not out:  # None: the step is not stored yet; (): death
-                        if out is None:
-                            out = chain.step(c, node, s)
+                    if out is None:
+                        out = chain.step(c, node, s)
                         if not out:
                             deaths.append(hi - length_hint(segment))
                             break
@@ -281,9 +278,7 @@ def _scan(measure, symbols, checkpoints):
                     continue
                 break
         marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
-    # death is final, so the checkpoints some component reaches are a prefix
-    lps = [log_mixture(chain.log_weights, scales)
-           for scales in zip(*marks) if max(scales) > NEG_INF]
+    lps = [log_mixture(chain.log_weights, scales) for scales in zip(*marks)]
     return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
@@ -309,8 +304,7 @@ class InducedMeasure:
     def cylinder_log_probability(self, symbols):
         """log q(b^n); -inf when b^n has no preimage under the codebook."""
         arr = as_cylinder(symbols, self.alphabet_size)
-        lps, _ = _scan(self, arr, [arr.size])
-        return lps[0] if lps else NEG_INF
+        return _scan(self, arr, [arr.size])[0][0]
 
     def shifted_cylinder_probability(self, symbols, shift):
         """q(T^-i [b]): the probability that b occupies positions i+1 .. i+n.
@@ -334,8 +328,7 @@ class InducedMeasure:
         if flat.size and flat.min() < 0:
             raise DomainError("shift must be >= 0")
         top = int(flat.max(initial=0))
-        if top > DEFAULT_MAX_SHIFT_STEPS:
-            raise RangeError(f"shift {top} exceeds the cap of {DEFAULT_MAX_SHIFT_STEPS} steps")
+        check_shift_steps(top)
         matrix, matrix_t, start, emits = self._chain.dense
         r = (emits == arr[-1]) * 1.0
         for b in arr[-2::-1].tolist():
@@ -480,6 +473,7 @@ def sample_entropy_trace(measure, symbols, checkpoints, tol=1e-2):
             f"max checkpoint {cps[-1]} exceeds the sequence length {arr.size}"
         )
     lps, left_at = _scan(measure, arr, cps)
+    lps = [lp for lp in lps if lp > NEG_INF]  # a death is final: the live ones are a prefix
     values = np.array([(0.0 - lp) / (n * LN2) for n, lp in zip(cps, lps)], dtype=float)
     return EntropyTrace(
         horizons=np.array(cps[:len(lps)], dtype=np.int64),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
 from .shifts import _window_codes
-from .sources import DEFAULT_ENUMERATION_CELLS, as_symbols, seed_sequence
+from .sources import DEFAULT_ENUMERATION_CELLS, as_symbols, check_shift_steps, seed_sequence
 
 MAX_CYLINDER_ORDER = 12
 
@@ -193,6 +193,7 @@ def ams_diagnostic(measure, cylinders, horizon, checkpoints=None, tol=1e-2):
         raise DomainError("checkpoints must be positive")
     if cps[-1] > horizon:
         raise DomainError(f"max checkpoint {cps[-1]} exceeds the horizon {horizon}")
+    check_shift_steps(int(cps[-1]) - 1)
     shifts = np.arange(int(cps[-1]))
     out = []
     for cyl in cylinders:

@@ -37,12 +37,14 @@ from .shifts import (
     TimeSubsequence,
     VariableLengthShiftSpec,
     _periodic,
+    alternating_trace,
     bellow_check,
     finite_state_orbit_coder,
     variable_length_orbit,
     weight_sequence,
 )
-from .sources import NEG_INF, MarkovSource, model_from_config, stationary_distribution
+from .sources import (NEG_INF, MarkovSource, check_shift_steps, model_from_config,
+                      stationary_distribution)
 from .wordcode import WordFunction, encode_stream, is_prefix_free, word_function_from_config
 
 
@@ -283,6 +285,7 @@ def run_ams_markov(cfg):
     horizon = cfg.horizon
     cyl = [0]
     step_count = int(p["per_step_count"])
+    check_shift_steps(max(step_count, horizon) - 1)  # the per-step and Cesaro shifts
     per_step = periodic.shifted_cylinder_probability(cyl, np.arange(step_count)).tolist()
     # a 0/1 chain's powers are 0/1 matrices, so these products are exact
     alternates = per_step == [(periodic.initial @ np.linalg.matrix_power(periodic.matrix, i))[0]
@@ -352,6 +355,7 @@ def run_output_ergodicity(cfg):
         if p[key] > DEFAULT_ENUMERATION_CELLS:
             raise ResourceError(f"params.{key}: {p[key]} paths, over the cap of "
                                 f"{DEFAULT_ENUMERATION_CELLS}")
+    check_shift_steps(horizon - 1)  # the mixture's Cesaro trace
     battery_in = _indicator_battery(wf.input_alphabet_size, max_order)
     battery_out = _indicator_battery(wf.output_alphabet_size, max_order)
     cps = default_checkpoints(horizon)
@@ -487,6 +491,10 @@ def run_bellow(cfg):
     horizon = cfg.horizon
     tol = float(cfg.tolerances["limit"])
     special_tol = float(cfg.tolerances["special"])
+    # the even / alternating case, drawn first so its arrays are freed before the cases'
+    tens = [10**e for e in range(1, len(str(horizon - 1)))]  # 10, 100, ... below the horizon
+    trace = alternating_trace(horizon, 2, tens + [horizon])
+    _, special_lhs, special_rhs = trace[-1]
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst_limit = 0.0
@@ -508,20 +516,7 @@ def run_bellow(cfg):
         worst_pair = max(worst_pair, err_pair)
         rows.append((case, "".join(map(str, gaps)), q, repr(partials.lhs),
                      repr(partials.rhs), repr(limit)))
-    # the constructed even / alternating case, with its partial-sum trace
-    zeta = np.arange(0, horizon + 2, 2)
-    ts = TimeSubsequence(zeta=zeta)
-    r = _periodic([1.0, -1.0], horizon)
-    trace_rows = []
-    n = 10
-    while n < horizon:
-        p = bellow_check(r, ts, n)
-        trace_rows.append((n, repr(p.lhs), repr(p.rhs)))
-        n *= 10
-    special = bellow_check(r, ts, horizon)
-    trace_rows.append((horizon, repr(special.lhs), repr(special.rhs)))
-    special_ok = (abs(special.lhs - 0.5) <= special_tol
-                  and abs(special.rhs - 0.5) <= special_tol)
+    special_ok = abs(special_lhs - 0.5) <= special_tol and abs(special_rhs - 0.5) <= special_tol
     passed = worst_limit < tol and worst_pair < tol and special_ok
     summary = {
         "cases": cases,
@@ -529,13 +524,14 @@ def run_bellow(cfg):
         "max_limit_error": worst_limit,
         "max_pair_gap": worst_pair,
         "tolerance": tol,
-        "special_lhs": special.lhs,
-        "special_rhs": special.rhs,
+        "special_lhs": special_lhs,
+        "special_rhs": special_rhs,
         "special_tolerance": special_tol,
     }
     return ExperimentResult("bellow", passed, summary, {
         "cases": (["case", "gap_cycle", "r_period", "lhs", "rhs", "closed_form"], rows),
-        "even_alternating": (["n", "lhs_partial", "rhs_partial"], trace_rows),
+        "even_alternating": (["n", "lhs_partial", "rhs_partial"],
+                             [(n, repr(lhs), repr(rhs)) for n, lhs, rhs in trace]),
     })
 
 
@@ -572,8 +568,7 @@ def run_log_identity(cfg):
         for induced, out, cut in zip((induced_pf, induced_npf), outs, cuts):
             lo = cut[t * max_len]
             marks = [cut[t * max_len + n] - lo for n in lengths]
-            lps, _ = _scan(induced, out[lo:lo + marks[-1]], marks)
-            out_lps.append(lps + [NEG_INF] * (len(marks) - len(lps)))
+            out_lps.append(_scan(induced, out[lo:lo + marks[-1]], marks)[0])
         for n, out_lp, out_lp2 in zip(lengths, *out_lps):
             checked += 1
             source_lp = model.cylinder_log_probability(tup[:n])

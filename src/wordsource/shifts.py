@@ -294,6 +294,14 @@ def bellow_check(values, ts, horizon):
     return BellowPartials(lhs=lhs, rhs=rhs)
 
 
+def alternating_trace(horizon, stride, checkpoints):
+    """(n, lhs, rhs) of ``bellow_check`` at each checkpoint n, for the values
+    1, -1, 1, ... along the orbit 0, stride, 2 stride, ... past the horizon."""
+    ts = TimeSubsequence(zeta=np.arange(0, horizon + stride + 1, stride))
+    values = _periodic([1.0, -1.0], horizon)
+    return [(int(n), *bellow_check(values, ts, int(n))) for n in checkpoints]
+
+
 def encoded_shift_commutes(wf, symbols):
     """Check F(T x) == T_gamma F(x) on the available prefix.
 

@@ -64,6 +64,9 @@ PROB_SUM_TOL = 1e-9
 # tables, automata, gamma tables, indicator batteries, and the paths of a run.
 DEFAULT_ENUMERATION_CELLS = 2**20
 
+# A shifted cylinder probability steps the dense chain at most this many times.
+DEFAULT_MAX_SHIFT_STEPS = 10**7
+
 # Inputs per chunk of a BlockAutomaton walk, which bounds its per-chunk arrays.
 SAMPLE_CHUNK = 4096
 
@@ -125,6 +128,12 @@ def seed_sequence(seed):
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(seed)
+
+
+def check_shift_steps(top):
+    """Refuse a shift ``top`` over DEFAULT_MAX_SHIFT_STEPS with ResourceError."""
+    if top > DEFAULT_MAX_SHIFT_STEPS:
+        raise ResourceError(f"shift {top} exceeds the cap of {DEFAULT_MAX_SHIFT_STEPS} steps")
 
 
 # Rounding may push a total log probability a few ulp above 0; anything worse
@@ -450,10 +459,8 @@ class MarkovSource(SourceModel):
         level = _levels(adj)
         if level.min() < 0 or _levels(adj.T).min() < 0:
             return False, None
-        g = 0
-        for u, v in zip(*np.nonzero(adj)):
-            g = math.gcd(g, int(level[u] + 1 - level[v]))
-        return True, g
+        u, v = np.nonzero(adj)
+        return True, int(np.gcd.reduce(level[u] + 1 - level[v]))
 
     def is_irreducible(self):
         return self._graph[0]

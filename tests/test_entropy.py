@@ -547,8 +547,7 @@ def _reference_scan(measure, symbols, checkpoints):
                 seen.append(scale)
                 cp = next(cps, 0)
         marks.append(seen + [NEG_INF] * (len(checkpoints) - len(seen)))
-    lps = [log_mixture(chain.log_weights, scales)
-           for scales in zip(*marks) if max(scales) > NEG_INF]
+    lps = [log_mixture(chain.log_weights, scales) for scales in zip(*marks)]
     return lps, max(deaths) if len(deaths) == len(marks) else None
 
 
@@ -602,6 +601,35 @@ def test_scan_segment_edges_match_a_per_symbol_walk(monkeypatch, cap):
         # 57 nodes take over 40 steps, so it always walks
         assert routes == ({(False, False), (True, cap > 0)} if chunk == 16 else set())
     assert {None, 1, 17, 18, 37} <= seen_deaths
+
+
+def test_scan_reads_every_checkpoint_past_a_death():
+    # {0, 10} never emits 11: the path dies at its second symbol, and the
+    # checkpoints from there on read -inf
+    lps, left_at = _scan(InducedMeasure(FAIR, WF), np.array([1, 1, 0, 0]), [1, 2, 4])
+    assert lps == [math.log(0.5), NEG_INF, NEG_INF] and left_at == 2
+
+
+def test_a_death_is_returned_never_stored(monkeypatch):
+    # after scans that die, on the per-symbol walk and on the block automaton,
+    # every stored step of every node is a live (successor, increment) pair
+    markov = MarkovSource([[0.7, 0.3], [0.6, 0.4]], [0.2, 0.8])
+    first_only = MixtureSource([0.25, 0.75], [IIDSource([1.0, 0.0]), IIDSource([0.4, 0.6])])
+    cases = [(FAIR, WF_ALL_ZERO, [17]), (FAIR, WF, [17, 18]), (markov, WF, [29, 30]),
+             (first_only, WF, [3, 17, 18])]
+    for chunk in (16, entropy.SAMPLE_CHUNK):
+        monkeypatch.setattr(entropy, "SAMPLE_CHUNK", chunk)
+        for model, wf, ones in cases:
+            path = np.zeros(40, np.int64)
+            path[np.array(ones) - 1] = 1
+            induced = InducedMeasure(model, wf)
+            for cps in ([5, 17, 30, 40], list(range(1, 41)), [40]):
+                lps, left_at = _scan(induced, path, cps)
+                assert left_at == ones[-1] and len(lps) == len(cps) and lps[-1] == NEG_INF
+            chain = induced._chain
+            for key, nexts in chain.roots + [n for nodes in chain.nodes for n in nodes.values()]:
+                for out in nexts:
+                    assert out is None or (len(out[0]) == 2 and type(out[1]) is float)
 
 
 def test_block_automaton_scan_matches_a_per_symbol_walk():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -792,6 +793,50 @@ def test_cli_bellow_trace_lands_at_half(capsys):
     assert n == "10000"
     assert abs(float(lhs) - 0.5) <= 1e-3
     assert abs(float(rhs) - 0.5) <= 1e-3
+
+
+def test_cli_bellow_ends_on_the_runs_alternating_row(tmp_path, capsys):
+    assert main(["bellow", "--horizon", "1000", "--stride", "2"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIG_DIR / "bellow.json"), "--horizon", "1000",
+                 "--out", str(out)]) == 0
+    assert (out / "bellow.even_alternating.csv").read_text().strip().splitlines()[-1] == last
+
+
+def test_cli_bellow_negative_horizon_is_named(capsys):
+    assert main(["bellow", "--horizon", "-5"]) == 2
+    assert "input error: horizon must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_ams_check_over_the_shift_cap_exits_3_before_any_work(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["ams-check", "--model", MODEL, "--cylinder", "0", "--horizon", "20000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 20 * 2**20
+    assert ("resource error: shift 19999999 exceeds the cap of 10000000 steps"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "ams-markov", "params": {"per_step_count": 10**7 + 2}},
+    {"experiment": "ams-markov", "horizon": 10**7 + 2},
+    {"experiment": "output-ergodicity", "horizon": 10**7 + 2},
+])
+def test_shift_counts_over_the_cap_exit_3_before_any_work(tmp_path, capsys, monkeypatch, config):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or stepped before the shift cap was checked")
+
+    monkeypatch.setattr(SourceModel, "sample_path", no_work)
+    monkeypatch.setattr(entropy._Chain, "dense", property(no_work))
+    cfg = tmp_path / "over.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "resource error: shift 10000001 exceeds the cap of 10000000 steps" in (
+        capsys.readouterr().err)
 
 
 def test_cli_aep_dispatches_on_codebook_and_model(tmp_path, capsys):

@@ -17,13 +17,14 @@ from wordsource import (
     VariableLengthShiftSpec,
     WordFunction,
     bellow_check,
+    default_checkpoints,
     encoded_shift_commutes,
     finite_state_orbit_coder,
     variable_length_orbit,
     weight_sequence,
 )
 from wordsource.experiments import _periodic_case_limit, random_prefix_free_codebook
-from wordsource.shifts import _countdown, _window_codes
+from wordsource.shifts import _countdown, _window_codes, alternating_trace
 
 
 def test_constant_one_is_left_shift():
@@ -276,6 +277,15 @@ def test_bellow_randomized_periodic_cases_converge():
         limit = _periodic_case_limit(gaps, r_vals)
         assert abs(partials.lhs - partials.rhs) < 10 / math.sqrt(n)
         assert abs(partials.rhs - limit) < 10 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("horizon, stride", [(10000, 2), (97, 3), (1, 1), (5, 10)])
+def test_alternating_trace_is_bellow_check_on_its_orbit(horizon, stride):
+    ts = TimeSubsequence(zeta=list(range(0, horizon + stride + 1, stride)))
+    values = [1.0 if i % 2 == 0 else -1.0 for i in range(horizon)]
+    checkpoints = default_checkpoints(horizon)
+    want = [(int(n), *bellow_check(values, ts, int(n))) for n in checkpoints]
+    assert alternating_trace(horizon, stride, checkpoints) == want
 
 
 def test_bellow_argument_guards():

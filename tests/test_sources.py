@@ -367,7 +367,7 @@ def test_shifted_markov_approaches_stationary():
 
 
 def test_shifted_rejects_over_horizon():
-    with pytest.raises(RangeError):
+    with pytest.raises(ResourceError):
         FAIR.shifted_cylinder_probability([0], 10**8)
 
 
